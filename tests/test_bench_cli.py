@@ -96,6 +96,20 @@ class TestPipelineSubset:
             run_pipeline(RunConfig.from_dict(small_config_dict(str(bad))))
         assert exc.value.stage == "ingest"
 
+    @pytest.mark.parametrize(
+        "model", ["slr", "mlr", "ridge", "lasso", "logistic", "kmeans", "svm", "ann"]
+    )
+    def test_unknown_feature_names_model_stage(self, fixture_csv, model):
+        if model == "slr":
+            overrides = {"slr_candidates": ["duration", "NoSuchGenre"]}
+        else:
+            overrides = {"features": {model: ["duration", "NoSuchGenre"]}}
+        config = RunConfig.from_dict(small_config_dict(fixture_csv, models=[model], **overrides))
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config)
+        assert exc.value.stage == model
+        assert isinstance(exc.value.cause, KeyError)
+
     def test_jaccard_table_subset(self, small_report):
         models = [r["model"] for r in small_report["jaccard_table"]]
         assert models == ["logistic"]
