@@ -119,8 +119,14 @@ def kmeans_classify(model: KMeansModel, train_labels, X_test) -> list[ClassLabel
         mapping[j] = min(lab for lab, c in counts.items() if c == top)
     model.cluster_to_class = mapping
     assert all(j in mapping for j in range(k))
-    idx, _ = _assign(np.asarray(X_test, dtype=float), model.centroids)
-    return [mapping[int(j)] for j in idx]
+    return kmeans_predict(model, X_test)
+
+
+def kmeans_predict(model: KMeansModel, X) -> list[ClassLabel]:
+    """Class of each point's nearest centroid, by the mapping that
+    kmeans_classify set."""
+    idx, _ = _assign(np.asarray(X, dtype=float), model.centroids)
+    return [model.cluster_to_class[int(j)] for j in idx]
 
 
 def _ordinal_objective(X, y, w, b, C) -> float:

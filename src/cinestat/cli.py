@@ -10,12 +10,13 @@ Exit codes: 0 success, 1 stage failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .config import ConfigError, RunConfig
 from .data_pipeline import load_movies, split_by_year
-from .pipeline import StageError, run_pipeline
+from .pipeline import StageError, fit_and_forecast, run_pipeline, run_stage
 from .report import FORMATS, emit_report
 
 
@@ -73,31 +74,13 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    from . import timeseries
-    import numpy as np
-
     config = RunConfig.from_file(args.config)
+    if args.horizon is not None:
+        config = dataclasses.replace(config, forecast_horizon=args.horizon)
     result = load_movies(config.dataset, config.column_map)
-    exog_fields = tuple(config.sarimax_exog)
-    series = timeseries.aggregate_monthly(result.records, exog_fields=exog_fields)
-    fit = timeseries.sarimax_grid_search(
-        series,
-        grid={k: list(v) for k, v in config.sarimax_grid.items()},
-        exog_names=exog_fields,
-        max_evaluations=config.sarimax_max_evaluations,
-    )
-    horizon = args.horizon if args.horizon is not None else config.forecast_horizon
-    future_exog = None
-    if exog_fields:
-        cols = []
-        for name in exog_fields:
-            tail = series.exog[name][-12:]
-            cols.append(np.array([tail[h % len(tail)] for h in range(horizon)]))
-        future_exog = np.column_stack(cols)
-    points, intervals = timeseries.forecast(fit, horizon, future_exogenous=future_exog)
-    months = timeseries.future_months(series, horizon)
+    _, _, rows = run_stage("timeseries", fit_and_forecast, config, result.records)
     print("month,point,low,high")
-    for m, p, (lo, hi) in zip(months, points, intervals):
+    for m, p, lo, hi in rows:
         print(f"{m.isoformat()},{p:.6f},{lo:.6f},{hi:.6f}")
     return 0
 

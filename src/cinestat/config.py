@@ -7,6 +7,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .data_pipeline import make_binner
+
 SEED_ENV_VAR = "CINESTAT_SEED"
 
 # Default per-model attribute lists (the comparison tables' feature sets).
@@ -73,8 +75,13 @@ class RunConfig:
 
     def __post_init__(self):
         self.bin_thresholds = tuple(self.bin_thresholds)
-        if len(self.bin_thresholds) != 2 or not self.bin_thresholds[0] < self.bin_thresholds[1]:
-            raise ConfigError("bin thresholds must be two ordered values")
+        try:
+            flop_upper, neutral_upper = self.bin_thresholds
+            make_binner(flop_upper, neutral_upper)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bin thresholds {list(self.bin_thresholds)}: {exc}") from exc
+        if self.forecast_horizon < 0:
+            raise ConfigError("forecast horizon must be non-negative")
         unknown = set(self.models) - set(ALL_MODELS)
         if unknown:
             raise ConfigError(f"unknown models: {sorted(unknown)}")

@@ -6,7 +6,7 @@ import csv
 import datetime
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,6 @@ OPTIONAL_COLUMNS = (
 
 TRAIN_YEAR_START = 1990
 TRAIN_YEAR_END = 2015
-
-FLOP_UPPER = 40
-NEUTRAL_UPPER = 60
 
 
 class ClassLabel(enum.IntEnum):
@@ -237,18 +234,7 @@ def binarize_multilabel(records: list[MovieRecord]) -> tuple[list[str], np.ndarr
     return vocabulary, matrix
 
 
-def bin_metascore(score: int) -> ClassLabel:
-    """Ternary bins: [0,40) flop, [40,60) neutral, [60,100] hit."""
-    if not 0 <= score <= 100:
-        raise ValueError(f"metascore {score} out of [0, 100]")
-    if score < FLOP_UPPER:
-        return ClassLabel.FLOP
-    if score < NEUTRAL_UPPER:
-        return ClassLabel.NEUTRAL
-    return ClassLabel.HIT
-
-
-def make_binner(flop_upper: int = FLOP_UPPER, neutral_upper: int = NEUTRAL_UPPER):
+def make_binner(flop_upper: int, neutral_upper: int):
     """Ternary binner with configurable cutoffs, boundaries in the upper bin."""
     if not 0 < flop_upper < neutral_upper <= 100:
         raise ValueError("thresholds must satisfy 0 < flop < neutral <= 100")
@@ -265,13 +251,6 @@ def make_binner(flop_upper: int = FLOP_UPPER, neutral_upper: int = NEUTRAL_UPPER
     return binner
 
 
-def binarize_success(score: int) -> bool:
-    """Binary coarsening of the ternary bins: success iff score >= 60."""
-    if not 0 <= score <= 100:
-        raise ValueError(f"metascore {score} out of [0, 100]")
-    return score >= NEUTRAL_UPPER
-
-
 def split_by_year(records: list[MovieRecord]) -> YearSplit:
     """Train on 1990-2015 inclusive, validate on later years, exclude pre-1990."""
     train = [r for r in records if TRAIN_YEAR_START <= r.year <= TRAIN_YEAR_END]
@@ -280,12 +259,21 @@ def split_by_year(records: list[MovieRecord]) -> YearSplit:
     return YearSplit(train, validation, excluded)
 
 
-def _feature_value(rec: MovieRecord, name: str, genre_vocab: set[str]) -> float | None:
-    if name in NUMERIC_FIELDS:
-        return getattr(rec, name)
-    if name in genre_vocab:
-        return 1.0 if name in rec.genres else 0.0
-    raise KeyError(name)
+def feature_rows(records: list[MovieRecord], feature_names: list[str]) -> tuple[np.ndarray, list[int]]:
+    """Complete-case rows of the named features, in the given column order,
+    and the index of the record behind each row.
+
+    A missing numeric field leaves its record out.  Any other name reads as
+    genre membership (1.0 or 0.0), so a genre that no record carries gives a
+    column of zeros.
+    """
+    rows, kept = [], []
+    for i, rec in enumerate(records):
+        row = [getattr(rec, n) if n in NUMERIC_FIELDS else float(n in rec.genres) for n in feature_names]
+        if None not in row:
+            rows.append(row)
+            kept.append(i)
+    return np.array(rows, dtype=float).reshape(len(rows), len(feature_names)), kept
 
 
 def build_design_matrix(
@@ -296,7 +284,8 @@ def build_design_matrix(
     """Complete-case feature/target assembly in the given column order.
 
     Feature names may be numeric record fields or genre names (binarized
-    to 0/1 membership indicators).
+    to 0/1 membership indicators); a genre absent from every record is a
+    KeyError.
     """
     if not records:
         raise ValueError("no records")
@@ -305,14 +294,9 @@ def build_design_matrix(
         if name not in NUMERIC_FIELDS and name not in genre_vocab:
             raise KeyError(f"unknown feature name {name!r}")
 
-    rows, targets = [], []
-    for rec in records:
-        vals = [_feature_value(rec, name, genre_vocab) for name in feature_names]
-        tval = _feature_value(rec, target_name, genre_vocab)
-        if tval is None or any(v is None for v in vals):
-            continue
-        rows.append(vals)
-        targets.append(float(tval))
-    if not rows:
+    values, kept = feature_rows(records, list(feature_names) + [target_name])
+    if not kept:
         raise ValueError("zero surviving rows after complete-case filtering")
-    return DesignMatrix(list(feature_names), np.array(rows, dtype=float), np.array(targets), target_name)
+    # contiguous copies: strided views can take other BLAS kernels, which sum
+    # in another order
+    return DesignMatrix(list(feature_names), values[:, :-1].copy(), values[:, -1].copy(), target_name)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_pipeline import ClassLabel, DesignMatrix
+from .data_pipeline import DesignMatrix
 from .numerics import RankDeficiencyError, least_squares
 from .special import chi2_sf, f_sf
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data_pipeline import ClassLabel, DesignMatrix, bin_metascore
+from .data_pipeline import ClassLabel, DesignMatrix
 from .numerics import cholesky_solve, least_squares
 
 LASSO_TOL = 1e-7
@@ -212,7 +212,8 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
     )
 
 
-def predict(fit: LinearFit, X) -> np.ndarray:
+def predict(fit: LinearFit | LogisticFit, X) -> np.ndarray:
+    """Linear predictor: metascore for a LinearFit, log-odds for a LogisticFit."""
     values = _check_columns(fit, X)
     return fit.intercept + values @ fit.coefficients
 
@@ -223,13 +224,17 @@ def predict_proba(fit: LogisticFit, X) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-eta))
 
 
-def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner=bin_metascore) -> BinnedEvaluation:
+def binned_labels(scores, binner) -> list[ClassLabel]:
+    """Ternary labels of continuous metascores: clamp to [0, 100], round, bin."""
+    return [binner(int(round(v))) for v in np.clip(scores, 0.0, 100.0)]
+
+
+def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner) -> BinnedEvaluation:
     """Accuracy of a continuous metascore fit judged through ternary bins."""
     if X.n == 0:
         raise ValueError("empty evaluation set")
-    raw = predict(fit, X)
-    predicted = [binner(int(round(v))) for v in np.clip(raw, 0.0, 100.0)]
-    truths = [binner(int(round(t))) for t in np.clip(X.target, 0.0, 100.0)]
+    predicted = binned_labels(predict(fit, X), binner)
+    truths = binned_labels(X.target, binner)
     confusion = np.zeros((3, 3), dtype=int)
     for t, p in zip(truths, predicted):
         confusion[int(t), int(p)] += 1

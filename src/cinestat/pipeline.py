@@ -3,7 +3,6 @@ every applicable test, and assemble the comparison report."""
 
 from __future__ import annotations
 
-import datetime
 import math
 
 import numpy as np
@@ -16,11 +15,11 @@ from .data_pipeline import (
     MovieRecord,
     NUMERIC_FIELDS,
     build_design_matrix,
+    feature_rows,
     load_movies,
     make_binner,
     split_by_year,
 )
-from .statespace import FitError
 
 
 class StageError(RuntimeError):
@@ -28,6 +27,14 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r} failed: {cause}")
+
+
+def run_stage(stage: str, fn, *args):
+    """Return ``fn(*args)``; any exception it raises becomes StageError(stage)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
 
 
 def _py(value):
@@ -48,54 +55,6 @@ def _py(value):
     return value
 
 
-def _standardize(train: np.ndarray):
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return mean, std
-
-
-def _complete_records(records, feature_names):
-    """Records with every named feature present (genres always count)."""
-    out = []
-    for rec in records:
-        ok = True
-        for name in feature_names:
-            if name in NUMERIC_FIELDS and getattr(rec, name) is None:
-                ok = False
-                break
-        if ok:
-            out.append(rec)
-    return out
-
-
-def _record_features(rec: MovieRecord, feature_names):
-    vals = []
-    for name in feature_names:
-        if name in NUMERIC_FIELDS:
-            v = getattr(rec, name)
-            if v is None:
-                return None
-            vals.append(float(v))
-        else:
-            vals.append(1.0 if name in rec.genres else 0.0)
-    return np.array(vals)
-
-
-def _stat_row(result: inference.StatTestResult) -> dict:
-    return _py(result.to_dict())
-
-
-class _FittedModels:
-    """Trained models plus per-record ternary predictors for the per-movie table."""
-
-    def __init__(self):
-        self.predictors = {}  # name -> callable(record) -> ClassLabel | None
-
-    def add(self, name, predictor):
-        self.predictors[name] = predictor
-
-
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline; returns the report as a plain dict.
 
@@ -114,85 +73,23 @@ def run_pipeline(config: RunConfig) -> dict:
         "models": {},
     }
     binner = make_binner(*config.bin_thresholds)
-    fitted = _FittedModels()
-
-    # --- ingest / split -------------------------------------------------
-    try:
-        loaded = load_movies(config.dataset, config.column_map)
-        split = split_by_year(loaded.records)
-        train = [r for r in split.train if r.metascore is not None]
-        val = [r for r in split.validation if r.metascore is not None]
-        if not train or not val:
-            raise ValueError("empty train or validation partition after filtering")
-    except Exception as exc:
-        raise StageError("ingest", exc) from exc
+    loaded, train, val = run_stage("ingest", _ingest, config)
     report["config"]["n_rows"] = len(loaded.records)
     report["config"]["n_dropped"] = loaded.dropped
     report["config"]["n_train"] = len(train)
     report["config"]["n_validation"] = len(val)
 
-    # --- regression family ---------------------------------------------
-    slr_feature = None
-    if "slr" in config.models:
-        try:
-            slr_feature, row, predictor = _fit_slr(config, train, val, binner)
-            report["models"]["slr"] = row
-            fitted.add("slr", predictor)
-        except Exception as exc:
-            raise StageError("slr", exc) from exc
-    for name in ("mlr", "ridge", "lasso"):
-        if name not in config.models:
-            continue
-        try:
-            row, predictor = _fit_linear(name, config, train, val, binner)
+    predictors = {}  # model name -> (feature names, vectorized predict)
+    for name, fit_model in MODEL_STAGES:
+        if name in config.models:
+            row, entries, predict = run_stage(name, fit_model, name, config, train, val, binner)
             report["models"][name] = row
-            fitted.add(name, predictor)
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+            report.update(entries)
+            predictors[name] = (row["features"], predict)
 
-    if "logistic" in config.models:
-        try:
-            row, wald_table, predictor = _fit_logistic_model(config, train, val)
-            report["models"]["logistic"] = row
-            report["wald_table"] = wald_table
-            fitted.add("logistic", predictor)
-        except Exception as exc:
-            raise StageError("logistic", exc) from exc
-
-    # --- classifiers ----------------------------------------------------
-    if "kmeans" in config.models:
-        try:
-            row, predictor = _fit_kmeans(config, train, val, binner)
-            report["models"]["kmeans"] = row
-            fitted.add("kmeans", predictor)
-        except Exception as exc:
-            raise StageError("kmeans", exc) from exc
-    if "svm" in config.models:
-        try:
-            row, predictor = _fit_svm(config, train, val, binner)
-            report["models"]["svm"] = row
-            fitted.add("svm", predictor)
-        except Exception as exc:
-            raise StageError("svm", exc) from exc
-
-    # --- neural network -------------------------------------------------
-    if "ann" in config.models:
-        try:
-            row, summary, loss_curve, predictor = _fit_ann(config, train, val, binner)
-            report["models"]["ann"] = row
-            report["ann_summary"] = summary
-            report.setdefault("series", {})["loss_curve"] = loss_curve
-            fitted.add("ann", predictor)
-        except Exception as exc:
-            raise StageError("ann", exc) from exc
-
-    # --- time series ----------------------------------------------------
-    try:
-        ts_table, series_out = _run_timeseries(config, loaded.records)
-        report["timeseries"] = ts_table
-        report.setdefault("series", {}).update(series_out)
-    except Exception as exc:
-        raise StageError("timeseries", exc) from exc
+    ts_table, series_out = run_stage("timeseries", _timeseries_section, config, loaded.records)
+    report["timeseries"] = ts_table
+    report.setdefault("series", {}).update(series_out)
 
     # --- jaccard availability table ------------------------------------
     jaccard_table = []
@@ -212,7 +109,7 @@ def run_pipeline(config: RunConfig) -> dict:
                     "jaccard": inference.jaccard(a, b),
                 }
             )
-    report["jaccard_table"] = _py(jaccard_table)
+    report["jaccard_table"] = jaccard_table
 
     # --- validity rulings -----------------------------------------------
     report["validity"] = {
@@ -221,30 +118,32 @@ def run_pipeline(config: RunConfig) -> dict:
         if "validity" in report["models"][name]
     }
 
-    # --- per-movie predictions ------------------------------------------
-    try:
-        report["per_movie"] = predict_movies(fitted.predictors, val, binner, config.per_movie_rows)
-    except Exception as exc:
-        raise StageError("per_movie", exc) from exc
-
-    # --- optional 2020-style holdout ------------------------------------
+    report["per_movie"] = run_stage(
+        "per_movie", predict_movies, predictors, val, binner, config.per_movie_rows
+    )
     if config.test_2020:
-        try:
-            report["test_2020"] = _evaluate_2020(config, fitted, binner)
-        except Exception as exc:
-            raise StageError("test_2020", exc) from exc
-
+        report["test_2020"] = run_stage("test_2020", _evaluate_2020, config, predictors, binner)
     return _py(report)
 
 
+def _ingest(config):
+    loaded = load_movies(config.dataset, config.column_map)
+    split = split_by_year(loaded.records)
+    train = [r for r in split.train if r.metascore is not None]
+    val = [r for r in split.validation if r.metascore is not None]
+    if not train or not val:
+        raise ValueError("empty train or validation partition after filtering")
+    return loaded, train, val
+
+
 # --------------------------------------------------------------------------
-# model stages
+# model stages: each returns (report row, other top-level report entries,
+# predict), where predict maps a feature matrix in the row's "features"
+# column order to one ClassLabel per row.
 
 
 def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
-    from .linear_models import evaluate_binned, predict
-
-    resid = train_dm.target - predict(fit, train_dm)
+    resid = train_dm.target - linear_models.predict(fit, train_dm)
     n, p = train_dm.n, train_dm.p
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((train_dm.target - train_dm.target.mean()) ** 2))
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
@@ -252,7 +151,7 @@ def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
     dw = inference.durbin_watson(resid)
     jb = inference.jarque_bera(resid)
     lm = inference.breusch_godfrey(resid, train_dm, lags=min(10, n - p - 2))
-    evaluation = evaluate_binned(fit, val_dm, binner)
+    evaluation = linear_models.evaluate_binned(fit, val_dm, binner)
     rep = inference.RegressionReport(
         model=name, r2=r2, adjusted_r2=adj_r2, f_test=f_test, durbin_watson=dw,
         jarque_bera=jb, lagrange_multiplier=lm, accuracy=evaluation.accuracy,
@@ -264,61 +163,53 @@ def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
         "coefficients": {"intercept": fit.intercept, **fit.named},
         "r2": r2,
         "adjusted_r2": adj_r2,
-        "f_statistic": _stat_row(f_test),
-        "durbin_watson": _stat_row(dw),
-        "jarque_bera": _stat_row(jb),
-        "lagrange_multiplier": _stat_row(lm),
+        "f_statistic": f_test.to_dict(),
+        "durbin_watson": dw.to_dict(),
+        "jarque_bera": jb.to_dict(),
+        "lagrange_multiplier": lm.to_dict(),
         "accuracy": evaluation.accuracy,
         "confusion": evaluation.confusion,
         "validity": {"valid": valid, "reasons": reasons},
     }
 
 
-def _linear_predictor(fit, feature_names, binner):
-    def predictor(rec: MovieRecord):
-        x = _record_features(rec, feature_names)
-        if x is None:
-            return None
-        raw = fit.intercept + float(x @ fit.coefficients)
-        return binner(int(round(min(max(raw, 0.0), 100.0))))
-
-    return predictor
 
 
-def _fit_slr(config, train, val, binner):
+def _binned_predict(fit, binner):
+    return lambda X: linear_models.binned_labels(linear_models.predict(fit, X), binner)
+
+
+def _fit_slr(name, config, train, val, binner):
     candidates = [c for c in config.slr_candidates if c != "metascore"]
     dm = build_design_matrix(train, candidates, "metascore")
     scores = inference.univariate_r2(dm)
     best = inference.select_best_regressor(scores)
-    train_dm = build_design_matrix(train, [best], "metascore")
-    val_dm = build_design_matrix(val, [best], "metascore")
-    fit = linear_models.fit_ols(train_dm)
-    row = _regression_diagnostics("slr", fit, train_dm, val_dm, binner)
+    row, entries, predict = _fit_linear(name, config, train, val, binner, feats=[best])
     row["selected_feature"] = best
-    row["univariate_r2"] = _py(scores)
-    return best, _py(row), _linear_predictor(fit, [best], binner)
+    row["univariate_r2"] = scores
+    return row, entries, predict
 
 
-def _fit_linear(name, config, train, val, binner):
-    feats = config.features[name]
+def _fit_linear(name, config, train, val, binner, feats=None):
+    feats = feats or config.features[name]
     train_dm = build_design_matrix(train, feats, "metascore")
     val_dm = build_design_matrix(val, feats, "metascore")
-    if name == "mlr":
-        fit = linear_models.fit_ols(train_dm)
-    elif name == "ridge":
+    if name == "ridge":
         fit = linear_models.fit_ridge(train_dm, config.ridge_lambda)
-    else:
+    elif name == "lasso":
         fit = linear_models.fit_lasso(train_dm, config.lasso_lambda)
+    else:
+        fit = linear_models.fit_ols(train_dm)
     row = _regression_diagnostics(name, fit, train_dm, val_dm, binner)
     if name == "mlr":
-        row["vif"] = _py(inference.vif(train_dm))
+        row["vif"] = inference.vif(train_dm)
     if name in ("ridge", "lasso"):
         row["lambda"] = fit.lam
-    return _py(row), _linear_predictor(fit, feats, binner)
+    return row, {}, _binned_predict(fit, binner)
 
 
-def _fit_logistic_model(config, train, val):
-    feats = config.features["logistic"]
+def _fit_logistic_model(name, config, train, val, binner):
+    feats = config.features[name]
     cutoff = config.bin_thresholds[1]
 
     def binary_dm(records):
@@ -333,7 +224,7 @@ def _fit_logistic_model(config, train, val):
     predicted = (probs >= 0.5).astype(float)
     accuracy = float((predicted == val_dm.target).mean())
     auc = inference.roc_auc(probs, val_dm.target.astype(int))
-    wald = [_stat_row(r) for r in inference.wald_test(fit)] if fit.converged else []
+    wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []
     row = {
         "family": "logistic",
         "features": feats,
@@ -344,83 +235,67 @@ def _fit_logistic_model(config, train, val):
         "roc_auc": auc,
     }
 
-    def predictor(rec: MovieRecord):
-        x = _record_features(rec, feats)
-        if x is None:
-            return None
-        eta = fit.intercept + float(x @ fit.coefficients)
-        return ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP
+    def predict(X):
+        # labels by the sign of the log-odds
+        return [ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP for eta in linear_models.predict(fit, X)]
 
-    return _py(row), wald, predictor
+    return row, {"wald_table": wald}, predict
 
 
-def _fit_kmeans(config, train, val, binner):
-    feats = config.features["kmeans"]
+def _scaled_split(feats, train, val, binner):
+    """Both partitions standardized by the training moments, each with its
+    binned labels, plus the standardizing map for later rows."""
     train_dm = build_design_matrix(train, feats, "metascore")
     val_dm = build_design_matrix(val, feats, "metascore")
-    mean, std = _standardize(train_dm.values)
-    Xt = (train_dm.values - mean) / std
-    Xv = (val_dm.values - mean) / std
+    mean = train_dm.values.mean(axis=0)
+    std = train_dm.values.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+
+    def scale(X):
+        return (X - mean) / std
+
+    def labels(dm):
+        return [binner(int(s)) for s in dm.target]
+
+    return scale, scale(train_dm.values), labels(train_dm), scale(val_dm.values), labels(val_dm)
+
+
+def _fit_kmeans(name, config, train, val, binner):
+    feats = config.features[name]
+    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
     model = classifiers.kmeans_fit(Xt, 3, seed=config.seed, restarts=config.kmeans_restarts)
-    train_labels = [binner(int(s)) for s in train_dm.target]
-    predicted = classifiers.kmeans_classify(model, train_labels, Xv)
-    truths = [binner(int(s)) for s in val_dm.target]
-    confusion, accuracy = inference.confusion_and_accuracy(predicted, truths)
-    sil = _predicted_silhouette(Xv, predicted)
+    predicted = classifiers.kmeans_classify(model, yt, Xv)
+    confusion, accuracy = inference.confusion_and_accuracy(predicted, yv)
     row = {
         "family": "classifier",
         "features": feats,
         "accuracy": accuracy,
         "confusion": confusion,
-        "silhouette": sil,
+        "silhouette": _predicted_silhouette(Xv, predicted),
         "inertia": model.inertia,
         "cluster_to_class": {str(k): v.short for k, v in model.cluster_to_class.items()},
     }
-
-    def predictor(rec: MovieRecord):
-        x = _record_features(rec, feats)
-        if x is None:
-            return None
-        xs = (x - mean) / std
-        d2 = ((model.centroids - xs) ** 2).sum(axis=1)
-        return model.cluster_to_class[int(d2.argmin())]
-
-    return _py(row), predictor
+    return row, {}, lambda X: classifiers.kmeans_predict(model, scale(X))
 
 
-def _fit_svm(config, train, val, binner):
-    feats = config.features["svm"]
-    train_dm = build_design_matrix(train, feats, "metascore")
-    val_dm = build_design_matrix(val, feats, "metascore")
-    mean, std = _standardize(train_dm.values)
-    Xt = (train_dm.values - mean) / std
-    Xv = (val_dm.values - mean) / std
-    labels = [binner(int(s)) for s in train_dm.target]
+def _fit_svm(name, config, train, val, binner):
+    feats = config.features[name]
+    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
     model = classifiers.ordinal_svm_fit(
-        Xt, labels, C=config.svm_C, epochs=config.svm_epochs, seed=config.seed,
+        Xt, yt, C=config.svm_C, epochs=config.svm_epochs, seed=config.seed,
         feature_names=feats,
     )
     predicted = classifiers.ordinal_svm_predict(model, Xv)
-    truths = [binner(int(s)) for s in val_dm.target]
-    confusion, accuracy = inference.confusion_and_accuracy(predicted, truths)
-    sil = _predicted_silhouette(Xv, predicted)
+    confusion, accuracy = inference.confusion_and_accuracy(predicted, yv)
     row = {
         "family": "classifier",
         "features": feats,
         "accuracy": accuracy,
         "confusion": confusion,
-        "silhouette": sil,
+        "silhouette": _predicted_silhouette(Xv, predicted),
         "thresholds": [model.b1, model.b2],
     }
-
-    def predictor(rec: MovieRecord):
-        x = _record_features(rec, feats)
-        if x is None:
-            return None
-        xs = (x - mean) / std
-        return classifiers.ordinal_svm_predict(model, xs.reshape(1, -1))[0]
-
-    return _py(row), predictor
+    return row, {}, lambda X: classifiers.ordinal_svm_predict(model, scale(X))
 
 
 def _predicted_silhouette(X, predicted_labels):
@@ -431,15 +306,9 @@ def _predicted_silhouette(X, predicted_labels):
     return inference.silhouette(X, labels)
 
 
-def _fit_ann(config, train, val, binner):
-    feats = config.features["ann"]
-    train_dm = build_design_matrix(train, feats, "metascore")
-    val_dm = build_design_matrix(val, feats, "metascore")
-    mean, std = _standardize(train_dm.values)
-    Xt = (train_dm.values - mean) / std
-    Xv = (val_dm.values - mean) / std
-    yt = [binner(int(s)) for s in train_dm.target]
-    yv = [binner(int(s)) for s in val_dm.target]
+def _fit_ann(name, config, train, val, binner):
+    feats = config.features[name]
+    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
     model = neural.mlp_init(config.seed, (len(feats), 100, 3))
     train_config = neural.TrainConfig(max_epochs=config.mlp_max_epochs)
     trained, trace = neural.mlp_train(model, Xt, yt, train_config)
@@ -455,7 +324,7 @@ def _fit_ann(config, train, val, binner):
         "optimizer": "adam",
         "early_stopping": train_config.early_stopping,
         "validation_fraction": train_config.validation_fraction,
-        "n_training_examples": int(train_dm.n),
+        "n_training_examples": len(Xt),
         "initial_loss": trace.losses[0] if trace.losses else None,
         "final_loss": trace.losses[-1] if trace.losses else None,
         "stopped_epoch": trace.stopped_epoch,
@@ -468,36 +337,46 @@ def _fit_ann(config, train, val, binner):
         "confusion": confusion,
     }
     loss_curve = [[i + 1, loss] for i, loss in enumerate(trace.losses)]
-
-    def predictor(rec: MovieRecord):
-        x = _record_features(rec, feats)
-        if x is None:
-            return None
-        xs = (x - mean) / std
-        return neural.mlp_predict(trained, xs.reshape(1, -1))[0]
-
-    return _py(row), _py(summary), _py(loss_curve), predictor
+    entries = {"ann_summary": summary, "series": {"loss_curve": loss_curve}}
+    return row, entries, lambda X: neural.mlp_predict(trained, scale(X))
 
 
-def _run_timeseries(config, records):
+# The model stages, in the order they run.
+MODEL_STAGES = (
+    ("slr", _fit_slr),
+    ("mlr", _fit_linear),
+    ("ridge", _fit_linear),
+    ("lasso", _fit_linear),
+    ("logistic", _fit_logistic_model),
+    ("kmeans", _fit_kmeans),
+    ("svm", _fit_svm),
+    ("ann", _fit_ann),
+)
+
+
+# --------------------------------------------------------------------------
+# time series
+
+
+def fit_and_forecast(config: RunConfig, records):
+    """Aggregate the monthly series, select its SARIMAX spec by AIC over the
+    configured grid, and forecast ``config.forecast_horizon`` months.
+
+    Future exogenous values are seasonal-naive: the last 12 observed months,
+    repeated.  Returns the series, the winning fit and the forecast rows
+    (month, point, low, high).
+    """
     exog_fields = tuple(config.sarimax_exog)
     series = timeseries.aggregate_monthly(records, exog_fields=exog_fields)
-    adf = timeseries.adf_test(series.values)
     fit = timeseries.sarimax_grid_search(
         series,
         grid={k: list(v) for k, v in config.sarimax_grid.items()},
         exog_names=exog_fields,
         max_evaluations=config.sarimax_max_evaluations,
     )
-    lb = timeseries.ljung_box(fit.residuals, lags=min(10, fit.nobs - 1))
-    resid = fit.residuals
-    jb = inference.jarque_bera(resid)
-    dw = inference.durbin_watson(resid)
-    z = (resid - resid.mean()) / resid.std()
     horizon = config.forecast_horizon
     future_exog = None
     if exog_fields:
-        # seasonal-naive future exog: repeat the last 12 observed months
         cols = []
         for name in exog_fields:
             tail = series.exog[name][-12:]
@@ -505,20 +384,31 @@ def _run_timeseries(config, records):
         future_exog = np.column_stack(cols)
     points, intervals = timeseries.forecast(fit, horizon, future_exogenous=future_exog)
     months = timeseries.future_months(series, horizon)
+    return series, fit, [(m, p, lo, hi) for m, p, (lo, hi) in zip(months, points, intervals)]
+
+
+def _timeseries_section(config, records):
+    series, fit, forecast_rows = fit_and_forecast(config, records)
+    adf = timeseries.adf_test(series.values)
+    lb = timeseries.ljung_box(fit.residuals, lags=min(10, fit.nobs - 1))
+    resid = fit.residuals
+    jb = inference.jarque_bera(resid)
+    dw = inference.durbin_watson(resid)
+    z = (resid - resid.mean()) / resid.std()
     table = {
-        "adf": _stat_row(adf),
+        "adf": adf.to_dict(),
         "selected_order": list(fit.spec.order),
         "selected_seasonal_order": list(fit.spec.seasonal_order),
-        "exogenous": list(exog_fields),
-        "parameters": _py(fit.parameter_dict()),
+        "exogenous": list(config.sarimax_exog),
+        "parameters": fit.parameter_dict(),
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
         "bic": fit.bic,
         "hqic": fit.hqic,
         "rmse": fit.one_step_rmse,
-        "ljung_box": _stat_row(lb),
-        "jarque_bera": _stat_row(jb),
-        "durbin_watson": _stat_row(dw),
+        "ljung_box": lb.to_dict(),
+        "jarque_bera": jb.to_dict(),
+        "durbin_watson": dw.to_dict(),
         "skewness": float(np.mean(z**3)),
         "kurtosis": float(np.mean(z**4)),
         "converged": fit.converged,
@@ -529,31 +419,41 @@ def _run_timeseries(config, records):
             [m.isoformat(), float(v), bool(flag)]
             for m, v, flag in zip(series.months, series.values, series.interpolated)
         ],
-        "forecast": [
-            [m.isoformat(), float(p), float(lo), float(hi)]
-            for m, p, (lo, hi) in zip(months, points, intervals)
-        ],
+        "forecast": [[m.isoformat(), float(p), float(lo), float(hi)] for m, p, lo, hi in forecast_rows],
     }
-    return _py(table), series_out
+    return table, series_out
+
+
+# --------------------------------------------------------------------------
+# predictions on held-out records
+
+
+def predict_labels(predictor, records) -> list[ClassLabel | None]:
+    """One vectorized predict over the records' complete-case rows; None for a
+    record that lacks one of the model's numeric features."""
+    feats, predict = predictor
+    X, kept = feature_rows(records, feats)
+    labels = [None] * len(records)
+    for i, label in zip(kept, predict(X)):
+        labels[i] = label
+    return labels
 
 
 def predict_movies(predictors, records, binner, limit: int) -> list[dict]:
     """Per-movie prediction rows for the most recent scored movies."""
     scored = [r for r in records if r.metascore is not None]
     scored.sort(key=lambda r: (r.date_published, r.title), reverse=True)
-    rows = []
-    for rec in scored[:limit]:
-        row = {"movie": rec.title, "truth": binner(rec.metascore).short}
-        for name in sorted(predictors):
-            label = predictors[name](rec)
-            row[name] = label.short if label is not None else "-"
-        rows.append(row)
-    if not rows:
+    recent = scored[:limit]
+    if not recent:
         raise ValueError("no scorable movies")
+    rows = [{"movie": rec.title, "truth": binner(rec.metascore).short} for rec in recent]
+    for name in sorted(predictors):
+        for row, label in zip(rows, predict_labels(predictors[name], recent)):
+            row[name] = label.short if label is not None else "-"
     return rows
 
 
-def _evaluate_2020(config, fitted, binner):
+def _evaluate_2020(config, predictors, binner):
     """Score the second holdout CSV with the trained models, reading
     substituted source columns where configured (the attribute swap is
     flagged in the output)."""
@@ -570,20 +470,14 @@ def _evaluate_2020(config, fitted, binner):
     records = [substituted(r) for r in loaded.records if r.metascore is not None]
     if not records:
         raise ValueError("no scored rows in the 2020 holdout")
+    truths = [binner(rec.metascore) for rec in records]
     out = {"substitutions": dict(subs), "n_rows": len(records), "accuracy": {}}
-    for name, predictor in fitted.predictors.items():
-        hits = total = 0
-        for rec in records:
-            label = predictor(rec)
-            if label is None:
-                continue
-            total += 1
-            truth = binner(rec.metascore)
-            if name == "logistic":
-                # binary model: compare coarsened truth
-                truth_bin = truth == ClassLabel.HIT
-                hits += int((label == ClassLabel.HIT) == truth_bin)
-            else:
-                hits += int(label == truth)
-        out["accuracy"][name] = hits / total if total else None
-    return _py(out)
+    for name, predictor in predictors.items():
+        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, records), truths) if label is not None]
+        if name == "logistic":
+            # binary model: compare coarsened truth
+            hits = sum((label == ClassLabel.HIT) == (truth == ClassLabel.HIT) for label, truth in scored)
+        else:
+            hits = sum(label == truth for label, truth in scored)
+        out["accuracy"][name] = hits / len(scored) if scored else None
+    return out

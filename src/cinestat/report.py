@@ -66,17 +66,35 @@ def _stat(value, key="statistic"):
     return value.get(key) if isinstance(value, dict) else value
 
 
+# Tables that markdown and CSV render alike: (headers, rows).
+
+
+def _wald_table(report):
+    rows = [[r["name"], r["statistic"], r["p_value"], r["df"]] for r in report.get("wald_table", [])]
+    return ["coefficient", "chi2", "p_value", "df"], rows
+
+
+def _jaccard_table(report):
+    rows = [
+        [r["model"], r["intersection"], r["union"], r["jaccard"]]
+        for r in report.get("jaccard_table", [])
+    ]
+    return ["model", "intersection", "union", "jaccard"], rows
+
+
+def _per_movie_table(report):
+    per_movie = report.get("per_movie", [])
+    model_cols = [k for k in per_movie[0] if k not in ("movie", "truth")] if per_movie else []
+    rows = [[r["movie"], r["truth"]] + [r[c] for c in model_cols] for r in per_movie]
+    return ["movie", "truth"] + model_cols, rows
+
+
 def report_markdown(report: dict) -> str:
     parts = ["# Movie-success benchmark report\n"]
 
-    wald = report.get("wald_table", [])
     parts.append(f"## {TABLE_SECTIONS[0]}\n")
-    parts.append(
-        _md_table(
-            ["coefficient", "chi2", "p-value", "df"],
-            [[r["name"], r["statistic"], r["p_value"], r["df"]] for r in wald],
-        )
-    )
+    headers, rows = _wald_table(report)
+    parts.append(_md_table([h.replace("p_value", "p-value") for h in headers], rows))
 
     parts.append(f"## {TABLE_SECTIONS[1]}\n")
     reg_rows = []
@@ -135,28 +153,10 @@ def report_markdown(report: dict) -> str:
     parts.append(_md_table(["attribute", "value"], sorted((k, _fmt(v)) for k, v in ann.items())))
 
     parts.append(f"## {TABLE_SECTIONS[5]}\n")
-    parts.append(
-        _md_table(
-            ["model", "intersection", "union", "jaccard"],
-            [
-                [r["model"], r["intersection"], r["union"], r["jaccard"]]
-                for r in report.get("jaccard_table", [])
-            ],
-        )
-    )
+    parts.append(_md_table(*_jaccard_table(report)))
 
     parts.append(f"## {TABLE_SECTIONS[6]}\n")
-    per_movie = report.get("per_movie", [])
-    if per_movie:
-        model_cols = [k for k in per_movie[0] if k not in ("movie", "truth")]
-        parts.append(
-            _md_table(
-                ["movie", "truth"] + model_cols,
-                [[r["movie"], r["truth"]] + [r[c] for c in model_cols] for r in per_movie],
-            )
-        )
-    else:
-        parts.append(_md_table(["movie", "truth"], []))
+    parts.append(_md_table(*_per_movie_table(report)))
 
     return "\n".join(parts)
 
@@ -171,14 +171,7 @@ def _write_csv(path, headers, rows):
 
 def _emit_csv_bundle(report: dict, out_dir: str) -> list[str]:
     files = []
-    wald = report.get("wald_table", [])
-    files.append(
-        _write_csv(
-            os.path.join(out_dir, "wald.csv"),
-            ["coefficient", "chi2", "p_value", "df"],
-            [[r["name"], r["statistic"], r["p_value"], r["df"]] for r in wald],
-        )
-    )
+    files.append(_write_csv(os.path.join(out_dir, "wald.csv"), *_wald_table(report)))
     model_rows = []
     for name, row in sorted(report.get("models", {}).items()):
         model_rows.append(
@@ -218,26 +211,9 @@ def _emit_csv_bundle(report: dict, out_dir: str) -> list[str]:
             ],
         )
     )
-    files.append(
-        _write_csv(
-            os.path.join(out_dir, "jaccard.csv"),
-            ["model", "intersection", "union", "jaccard"],
-            [
-                [r["model"], r["intersection"], r["union"], r["jaccard"]]
-                for r in report.get("jaccard_table", [])
-            ],
-        )
-    )
-    per_movie = report.get("per_movie", [])
-    if per_movie:
-        model_cols = [k for k in per_movie[0] if k not in ("movie", "truth")]
-        files.append(
-            _write_csv(
-                os.path.join(out_dir, "per_movie.csv"),
-                ["movie", "truth"] + model_cols,
-                [[r["movie"], r["truth"]] + [r[c] for c in model_cols] for r in per_movie],
-            )
-        )
+    files.append(_write_csv(os.path.join(out_dir, "jaccard.csv"), *_jaccard_table(report)))
+    if report.get("per_movie"):
+        files.append(_write_csv(os.path.join(out_dir, "per_movie.csv"), *_per_movie_table(report)))
     series = report.get("series", {})
     if "loss_curve" in series:
         files.append(

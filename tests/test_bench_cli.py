@@ -38,9 +38,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"seed": 3})
 
-    def test_bad_thresholds(self, fixture_csv):
+    @pytest.mark.parametrize("thresholds", [(60, 40), (0, 60), (40, 101), (40, 60, 80)])
+    def test_bad_thresholds(self, fixture_csv, thresholds):
         with pytest.raises(ConfigError):
-            RunConfig(dataset=fixture_csv, bin_thresholds=(60, 40))
+            RunConfig(dataset=fixture_csv, bin_thresholds=thresholds)
+
+    def test_negative_horizon(self, fixture_csv):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, forecast_horizon=-3)
 
     def test_unknown_model(self, fixture_csv):
         with pytest.raises(ConfigError):
@@ -183,6 +188,21 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_of_range_thresholds_exit_2(self, fixture_csv, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, bin_thresholds=[0, 60]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_forecast_horizon_exit_2(self, fixture_csv, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv))
+        assert main(["forecast", "--config", cfg_path, "--horizon", "-3"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_forecast_failure_names_stage(self, fixture_csv, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, sarimax_exog=["nope"]))
+        assert main(["forecast", "--config", cfg_path]) == 1
+        assert "pipeline failure: stage 'timeseries'" in capsys.readouterr().err
 
     def test_stage_failure_exit_1(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, small_config_dict(str(tmp_path / "nope.csv")))

@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 from cinestat.data_pipeline import (
     ClassLabel,
     SchemaError,
-    bin_metascore,
     binarize_multilabel,
-    binarize_success,
     build_design_matrix,
+    feature_rows,
     load_movies,
     make_binner,
     split_by_year,
@@ -115,6 +114,9 @@ class TestBinarizeMultilabel:
 
 
 class TestBinning:
+    # the default cutoffs: [0,40) flop, [40,60) neutral, [60,100] hit
+    binner = staticmethod(make_binner(40, 60))
+
     @pytest.mark.parametrize(
         "score,label",
         [(30, ClassLabel.FLOP), (0, ClassLabel.FLOP), (39, ClassLabel.FLOP),
@@ -122,26 +124,26 @@ class TestBinning:
          (60, ClassLabel.HIT), (75, ClassLabel.HIT), (100, ClassLabel.HIT)],
     )
     def test_bin_metascore(self, score, label):
-        assert bin_metascore(score) is label
+        assert self.binner(score) is label
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            bin_metascore(101)
+            self.binner(101)
         with pytest.raises(ValueError):
-            bin_metascore(-1)
+            self.binner(-1)
 
     @pytest.mark.parametrize("score,expected", [(60, True), (59, False), (0, False)])
     def test_binarize_success(self, score, expected):
-        assert binarize_success(score) is expected
+        assert (self.binner(score) is ClassLabel.HIT) is expected
 
     @given(st.integers(0, 100), st.integers(0, 100))
     def test_bin_monotone(self, s1, s2):
         if s1 <= s2:
-            assert bin_metascore(s1) <= bin_metascore(s2)
+            assert self.binner(s1) <= self.binner(s2)
 
     @given(st.integers(0, 100))
     def test_binary_is_coarsening_of_ternary(self, s):
-        assert binarize_success(s) == (bin_metascore(s) is ClassLabel.HIT)
+        assert (s >= 60) == (self.binner(s) is ClassLabel.HIT)
 
     def test_custom_binner(self):
         binner = make_binner(30, 70)
@@ -203,3 +205,25 @@ class TestBuildDesignMatrix:
         )
         assert np.all(np.isfinite(dm.values))
         assert np.all(np.isfinite(dm.target))
+
+
+class TestFeatureRows:
+    def test_missing_numeric_leaves_record_out(self, tmp_path):
+        rows = [make_row(), make_row(title="B", budget=""), make_row(title="C", duration=90)]
+        records = load_movies(write_csv(tmp_path, rows)).records
+        X, kept = feature_rows(records, ["budget", "duration", "Drama"])
+        assert kept == [0, 2]
+        np.testing.assert_array_equal(X, [[1e6, 100.0, 1.0], [1e6, 90.0, 1.0]])
+
+    def test_unseen_genre_reads_zero(self, tmp_path):
+        records = load_movies(write_csv(tmp_path, [make_row(genres="Drama")])).records
+        X, kept = feature_rows(records, ["NoSuchGenre", "Drama"])
+        assert kept == [0]
+        np.testing.assert_array_equal(X, [[0.0, 1.0]])
+        with pytest.raises(KeyError):
+            build_design_matrix(records, ["NoSuchGenre"], "metascore")
+
+    def test_no_complete_rows(self, tmp_path):
+        records = load_movies(write_csv(tmp_path, [make_row(budget="")])).records
+        X, kept = feature_rows(records, ["budget", "duration"])
+        assert X.shape == (0, 2) and kept == []

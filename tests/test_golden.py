@@ -7,16 +7,19 @@ the report, so every run here uses the same path relative to the repository
 root.
 """
 
+import dataclasses
 import json
 import pathlib
 from contextlib import redirect_stdout
 from io import StringIO
 
+import numpy as np
 import pytest
 
 from cinestat.cli import main
 from cinestat.config import RunConfig
-from cinestat.pipeline import run_pipeline
+from cinestat.data_pipeline import NUMERIC_FIELDS, load_movies, make_binner, split_by_year
+from cinestat.pipeline import MODEL_STAGES, predict_labels, run_pipeline
 from cinestat.report import emit_report, report_json, report_markdown
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -72,3 +75,51 @@ def test_2020_holdout_accuracies(golden_report):
         "ann": 0.6793, "kmeans": 0.4565, "lasso": 0.7233, "logistic": 0.7826,
         "mlr": 0.7170, "ridge": 0.7170, "slr": 0.6413, "svm": 0.6685,
     }
+
+
+def reference_row(rec, feature_names):
+    """One record's feature vector, built field by field: None when a numeric
+    feature is missing, any other name read as 0/1 genre membership."""
+    vals = []
+    for name in feature_names:
+        if name in NUMERIC_FIELDS:
+            v = getattr(rec, name)
+            if v is None:
+                return None
+            vals.append(float(v))
+        else:
+            vals.append(1.0 if name in rec.genres else 0.0)
+    return np.array(vals)
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """Every model fitted on the fixture, with the record sets the report
+    labels: the validation partition and the substituted holdout."""
+    config = RunConfig.from_dict({**CONFIG, "dataset": str(ROOT / DATASET)})
+    records = load_movies(config.dataset).records
+    split = split_by_year(records)
+    train = [r for r in split.train if r.metascore is not None]
+    val = [r for r in split.validation if r.metascore is not None]
+    binner = make_binner(*config.bin_thresholds)
+    models = {}
+    for name, fit_model in MODEL_STAGES:
+        row, _, predict = fit_model(name, config, train, val, binner)
+        models[name] = (row["features"], predict)
+    holdout = [
+        dataclasses.replace(r, top1000_voters_rating=r.avg_vote) for r in records if r.metascore is not None
+    ]
+    return models, {"validation": val, "holdout": holdout}
+
+
+@pytest.mark.parametrize("record_set", ["validation", "holdout"])
+@pytest.mark.parametrize("model", [name for name, _ in MODEL_STAGES])
+def test_vectorized_labels_match_per_record_loop(fitted_models, model, record_set):
+    models, record_sets = fitted_models
+    feature_names, predict = models[model]
+    records = record_sets[record_set]
+    expected = []
+    for rec in records:
+        x = reference_row(rec, feature_names)
+        expected.append(None if x is None else predict(x.reshape(1, -1))[0])
+    assert predict_labels(models[model], records) == expected
