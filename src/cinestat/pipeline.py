@@ -175,10 +175,6 @@ def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
 
 
 
-def _binned_predict(fit, binner):
-    return lambda X: linear_models.binned_labels(linear_models.predict(fit, X), binner)
-
-
 def _fit_slr(name, config, train, val, binner):
     candidates = [c for c in config.slr_candidates if c != "metascore"]
     dm = build_design_matrix(train, candidates, "metascore")
@@ -205,7 +201,7 @@ def _fit_linear(name, config, train, val, binner, feats=None):
         row["vif"] = inference.vif(train_dm)
     if name in ("ridge", "lasso"):
         row["lambda"] = fit.lam
-    return row, {}, _binned_predict(fit, binner)
+    return row, {}, lambda X: linear_models.binned_labels(linear_models.predict(fit, X), binner)
 
 
 def _fit_logistic_model(name, config, train, val, binner):
@@ -236,7 +232,6 @@ def _fit_logistic_model(name, config, train, val, binner):
     }
 
     def predict(X):
-        # labels by the sign of the log-odds
         return [ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP for eta in linear_models.predict(fit, X)]
 
     return row, {"wald_table": wald}, predict

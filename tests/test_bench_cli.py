@@ -38,8 +38,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"seed": 3})
 
-    @pytest.mark.parametrize("thresholds", [(60, 40), (0, 60), (40, 101), (40, 60, 80)])
-    def test_bad_thresholds(self, fixture_csv, thresholds):
+    def test_bad_thresholds(self, fixture_csv):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, bin_thresholds=(60, 40))
+
+    @pytest.mark.parametrize("thresholds", [(0, 60), (40, 101), (40, 60, 80)])
+    def test_thresholds_out_of_range(self, fixture_csv, thresholds):
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, bin_thresholds=thresholds)
 
