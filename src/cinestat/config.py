@@ -7,7 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .data_pipeline import make_binner
+from .data_pipeline import NUMERIC_FIELDS, make_binner
 
 SEED_ENV_VAR = "CINESTAT_SEED"
 
@@ -82,6 +82,12 @@ class RunConfig:
             raise ConfigError(f"bin thresholds {list(self.bin_thresholds)}: {exc}") from exc
         if self.forecast_horizon < 0:
             raise ConfigError("forecast horizon must be non-negative")
+        non_numeric = {
+            target: source for target, source in self.test_2020_substitutions.items()
+            if target not in NUMERIC_FIELDS or source not in NUMERIC_FIELDS
+        }
+        if non_numeric:
+            raise ConfigError(f"test_2020_substitutions must pair numeric fields: {non_numeric}")
         unknown = set(self.models) - set(ALL_MODELS)
         if unknown:
             raise ConfigError(f"unknown models: {sorted(unknown)}")

@@ -13,7 +13,6 @@ from .data_pipeline import (
     ClassLabel,
     DesignMatrix,
     MovieRecord,
-    NUMERIC_FIELDS,
     build_design_matrix,
     feature_rows,
     load_movies,
@@ -456,10 +455,7 @@ def _evaluate_2020(config, predictors, binner):
     subs = config.test_2020_substitutions
 
     def substituted(rec: MovieRecord) -> MovieRecord:
-        changes = {}
-        for target_field, source_field in subs.items():
-            if target_field in NUMERIC_FIELDS and source_field in NUMERIC_FIELDS:
-                changes[target_field] = getattr(rec, source_field)
+        changes = {target: getattr(rec, source) for target, source in subs.items()}
         return MovieRecord(**{**rec.__dict__, **changes}) if changes else rec
 
     records = [substituted(r) for r in loaded.records if r.metascore is not None]

@@ -72,6 +72,7 @@ class SarimaxFit:
     _T: np.ndarray = field(default=None, repr=False)
     _R: np.ndarray = field(default=None, repr=False)
     _diff_tail: tuple = field(default=None, repr=False)
+    _exog_tail: np.ndarray = field(default=None, repr=False)
 
     def parameter_dict(self) -> dict[str, float]:
         out = {}
@@ -311,7 +312,7 @@ def sarimax_fit(
         z = w - mean
         if nx:
             z = z - wx @ beta
-        a, m = expand_polynomials(ar, ma, sar, sma, s)
+        a, m = expand_polynomials(ar=ar, seasonal_ar=sar, ma=ma, seasonal_ma=sma, s=s)
         T, R = build_state_space(a, m)
         return mean, beta, ar, ma, sar, sma, z, T, R
 
@@ -369,6 +370,7 @@ def sarimax_fit(
         _T=T,
         _R=R,
         _diff_tail=tuple(tails),
+        _exog_tail=exog[len(y) - d - s * D :] if nx else None,
     )
 
 
@@ -423,21 +425,25 @@ def sarimax_forecast(
         a = T @ a
         P = T @ P @ T.T + RR
 
+    p, d, q = spec.order
+    P_, D, Q, s = spec.seasonal_order
     point_w = point_w + fit.mean
     if nx:
         # exogenous effect enters on the differenced scale used in fitting
-        wx_future = future_exog
+        wx_future = np.vstack([fit._exog_tail, future_exog])
+        for _ in range(d):
+            wx_future = np.diff(wx_future, axis=0)
+        for _ in range(D):
+            wx_future = wx_future[s:] - wx_future[:-s]
         point_w = point_w + wx_future @ fit.exog_coef
 
-    p, d, q = spec.order
-    P_, D, Q, s = spec.seasonal_order
     if d + D == 0:
         point = point_w
         var = var_w
     else:
         point = undifference(point_w, fit._diff_tail, s)
         ar_red, ma_red = expand_polynomials(
-            fit.ar, fit.ma, fit.seasonal_ar, fit.seasonal_ma, s
+            ar=fit.ar, seasonal_ar=fit.seasonal_ar, ma=fit.ma, seasonal_ma=fit.seasonal_ma, s=s
         )
         # fold the differencing operators into the AR polynomial
         poly = np.zeros(len(ar_red) + 1)

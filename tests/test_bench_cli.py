@@ -51,6 +51,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, forecast_horizon=-3)
 
+    @pytest.mark.parametrize("subs", [{"Drama": "avg_vote"}, {"avg_vote": "Drama"}])
+    def test_non_numeric_substitution(self, fixture_csv, subs):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, test_2020_substitutions=subs)
+
     def test_unknown_model(self, fixture_csv):
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, models=["slr", "forest"])
@@ -195,6 +200,12 @@ class TestCli:
 
     def test_out_of_range_thresholds_exit_2(self, fixture_csv, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, bin_thresholds=[0, 60]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_numeric_substitution_exit_2(self, fixture_csv, tmp_path, capsys):
+        cfg = small_config_dict(fixture_csv, test_2020=fixture_csv, test_2020_substitutions={"Drama": "avg_vote"})
+        cfg_path = self._write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg as sla
-from scipy import stats
+from scipy import signal, stats
 
 from cinestat.statespace import (
     FitError,
@@ -317,6 +317,98 @@ class TestForecast:
         assert point.shape == (0,) and intervals.shape == (0, 2)
         with pytest.raises(ValueError):
             sarimax_forecast(fit, 3, future_exog=np.ones((3, 1)))
+
+
+def lag_polynomial(coeffs, step=1, sign=1.0):
+    """1 + sign * (c_1 B^step + c_2 B^(2 step) + ...) as a coefficient array."""
+    poly = np.zeros(step * len(coeffs) + 1)
+    poly[0] = 1.0
+    poly[step::step] = sign * np.asarray(coeffs, dtype=float)
+    return poly
+
+
+def sarima_polynomials(ar=(), ma=(), sar=(), sma=(), s=12):
+    """The full AR and MA lag polynomials of a multiplicative seasonal ARMA,
+    multiplied here without the library's expansion."""
+    ar_poly = np.convolve(lag_polynomial(ar, 1, -1.0), lag_polynomial(sar, s, -1.0))
+    ma_poly = np.convolve(lag_polynomial(ma, 1, 1.0), lag_polynomial(sma, s, 1.0))
+    return ar_poly, ma_poly
+
+
+def sarima_series(n, ar=(), ma=(), sar=(), sma=(), d=0, D=0, s=12, seed=0, burn=300):
+    rng = np.random.default_rng(seed)
+    ar_poly, ma_poly = sarima_polynomials(ar, ma, sar, sma, s)
+    for _ in range(d):
+        ar_poly = np.convolve(ar_poly, [1.0, -1.0])
+    for _ in range(D):
+        ar_poly = np.convolve(ar_poly, lag_polynomial([1.0], s, -1.0))
+    return signal.lfilter(ma_poly, ar_poly, rng.normal(size=n + burn))[burn:]
+
+
+class TestPublicFitPath:
+    """Known parameters recovered, and the exact likelihood reproduced,
+    through ``sarimax_fit`` and ``sarimax_forecast`` themselves."""
+
+    def test_ma1_recovery(self):
+        y = sarima_series(400, ma=[0.6], seed=131)
+        fit = sarimax_fit(y, SarimaxSpec((0, 0, 1)))
+        assert fit.ma[0] == pytest.approx(0.6, abs=0.1)
+        assert fit.sigma2 == pytest.approx(1.0, abs=0.15)
+
+    def test_arma11_recovery(self):
+        y = sarima_series(400, ar=[0.5], ma=[0.4], seed=137)
+        fit = sarimax_fit(y, SarimaxSpec((1, 0, 1)))
+        assert fit.ar[0] == pytest.approx(0.5, abs=0.1)
+        assert fit.ma[0] == pytest.approx(0.4, abs=0.1)
+
+    def test_seasonal_ar1_recovery(self):
+        y = sarima_series(400, sar=[0.7], seed=139)
+        fit = sarimax_fit(y, SarimaxSpec((0, 0, 0), (1, 0, 0, 12)))
+        # 400 months are only 33 seasonal cycles, hence the wider tolerance
+        assert fit.seasonal_ar[0] == pytest.approx(0.7, abs=0.15)
+
+    def test_airline_model_recovery(self):
+        y = sarima_series(400, ma=[-0.4], sma=[-0.6], d=1, D=1, seed=149)
+        fit = sarimax_fit(y, SarimaxSpec((0, 1, 1), (0, 1, 1, 12)))
+        assert fit.ma[0] == pytest.approx(-0.4, abs=0.1)
+        assert fit.seasonal_ma[0] == pytest.approx(-0.6, abs=0.15)
+
+    @pytest.mark.parametrize("order, seasonal_order", [
+        ((1, 0, 1), (1, 0, 0, 12)),
+        ((0, 1, 1), (1, 0, 1, 12)),
+    ])
+    def test_loglik_matches_dense_gaussian(self, order, seasonal_order):
+        # the reported log-likelihood must be the joint-Gaussian density of
+        # the differenced, de-meaned series under the reported coefficients
+        y = 20.0 + sarima_series(150, ar=[0.5], ma=[0.4], sar=[0.5], sma=[0.3], d=order[1], seed=151)
+        fit = sarimax_fit(y, SarimaxSpec(order, seasonal_order), max_evaluations=300)
+        w = np.diff(y, n=order[1]) - fit.mean
+        n = w.shape[0]
+        ar_poly, ma_poly = sarima_polynomials(
+            fit.ar, fit.ma, fit.seasonal_ar, fit.seasonal_ma, seasonal_order[3]
+        )
+        impulse = np.zeros(20000)
+        impulse[0] = 1.0
+        psi = signal.lfilter(ma_poly, ar_poly, impulse)
+        assert np.max(np.abs(psi[-200:])) < 1e-12
+        gamma = np.array([psi[: psi.size - k] @ psi[k:] for k in range(n)])
+        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        dense = stats.multivariate_normal(np.zeros(n), fit.sigma2 * gamma[lags]).logpdf(w)
+        assert fit.log_likelihood == pytest.approx(dense, abs=1e-8)
+
+    def test_differenced_exog_forecast(self):
+        # y = 2 x + random walk, fit as (0,1,0) on x: forecasts must move with
+        # the future regressor from the last observed level
+        rng = np.random.default_rng(157)
+        n, h = 300, 3
+        x = np.cumsum(rng.normal(size=n + h))
+        y = 2.0 * x + np.cumsum(rng.normal(0.0, 0.5, size=n + h))
+        fit = sarimax_fit(y[:n], SarimaxSpec((0, 1, 0), exog_names=("x",)), exog=x[:n, None])
+        point, intervals = sarimax_forecast(fit, h, future_exog=x[n:, None])
+        expect = y[n - 1] + fit.exog_coef[0] * (x[n:] - x[n - 1])
+        np.testing.assert_allclose(point, expect, atol=1e-8)
+        truth = y[n - 1] + 2.0 * (x[n:] - x[n - 1])
+        assert np.all(np.abs(point - truth) < intervals[:, 1] - point)
 
 
 class TestMonthlyAggregation:
