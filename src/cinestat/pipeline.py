@@ -9,6 +9,7 @@ import numpy as np
 
 from . import classifiers, inference, linear_models, neural, timeseries
 from .config import RunConfig
+from .statespace import SEASONAL_PERIOD
 from .data_pipeline import (
     ClassLabel,
     DesignMatrix,
@@ -356,8 +357,8 @@ def fit_and_forecast(config: RunConfig, records):
     """Aggregate the monthly series, select its SARIMAX spec by AIC over the
     configured grid, and forecast ``config.forecast_horizon`` months.
 
-    Future exogenous values are seasonal-naive: the last 12 observed months,
-    repeated.  Returns the series, the winning fit and the forecast rows
+    Future exogenous values are seasonal-naive: the last SEASONAL_PERIOD
+    observed months, repeated.  Returns the series, the winning fit and the forecast rows
     (month, point, low, high).
     """
     exog_fields = tuple(config.sarimax_exog)
@@ -371,11 +372,8 @@ def fit_and_forecast(config: RunConfig, records):
     horizon = config.forecast_horizon
     future_exog = None
     if exog_fields:
-        cols = []
-        for name in exog_fields:
-            tail = series.exog[name][-12:]
-            cols.append(np.array([tail[h % len(tail)] for h in range(horizon)]))
-        future_exog = np.column_stack(cols)
+        tail = series.exog_matrix(exog_fields)[-SEASONAL_PERIOD:]
+        future_exog = tail[np.arange(horizon) % len(tail)]
     points, intervals = timeseries.forecast(fit, horizon, future_exogenous=future_exog)
     months = timeseries.future_months(series, horizon)
     return series, fit, [(m, p, lo, hi) for m, p, (lo, hi) in zip(months, points, intervals)]

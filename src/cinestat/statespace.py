@@ -17,12 +17,13 @@ from scipy.optimize import minimize
 
 DIFFUSE_VARIANCE = 1e7
 MAX_EVALUATIONS = 2000
+SEASONAL_PERIOD = 12  # months
 
 
 @dataclass(frozen=True)
 class SarimaxSpec:
     order: tuple[int, int, int]
-    seasonal_order: tuple[int, int, int, int] = (0, 0, 0, 12)
+    seasonal_order: tuple[int, int, int, int] = (0, 0, 0, SEASONAL_PERIOD)
     exog_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -181,15 +182,16 @@ def initial_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray:
     return P0
 
 
-def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray, P0: np.ndarray | None = None):
-    """Filter a zero-mean series in unit-innovation-variance units.
+def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
+    """Filter a zero-mean series in unit-innovation-variance units, starting
+    from ``initial_covariance(T, R)``.
 
     Returns (innovations v, innovation variances F, predicted state a_{n+1|n},
     predicted covariance P_{n+1|n}).
     """
     r = T.shape[0]
     a = np.zeros(r)
-    P = initial_covariance(T, R) if P0 is None else P0.copy()
+    P = initial_covariance(T, R)
     RR = np.outer(R, R)
     n = z.shape[0]
     v = np.empty(n)
@@ -230,13 +232,14 @@ def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray):
 
 
 def difference(y: np.ndarray, d: int, D: int, s: int):
-    """Apply d regular and D seasonal differences, keeping the tails needed
-    to invert the transform."""
+    """Apply d regular and D seasonal differences along axis 0 (to a series
+    or to the rows of a regressor matrix), keeping the tails needed to
+    invert the transform."""
     tails = []
     w = np.asarray(y, dtype=float)
     for _ in range(d):
         tails.append(("regular", w.copy()))
-        w = np.diff(w)
+        w = np.diff(w, axis=0)
     for _ in range(D):
         tails.append(("seasonal", w.copy()))
         w = w[s:] - w[:-s]
@@ -259,9 +262,15 @@ def undifference(forecasts: np.ndarray, tails, s: int) -> np.ndarray:
     return out
 
 
-def _decode(zvec: np.ndarray, spec: SarimaxSpec):
+def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
+    """Map an unconstrained parameter vector to the model: (mean, exog
+    coefficients, ar, ma, seasonal_ar, seasonal_ma, T, R).
+
+    This is the one place that knows how the spec's lag polynomials form
+    the state space; the forecast reads its reduced form back off T and R.
+    """
     p, _, q = spec.order
-    P, _, Q, _ = spec.seasonal_order
+    P, _, Q, s = spec.seasonal_order
     k = 0
     mean = 0.0
     if spec.includes_mean:
@@ -274,7 +283,9 @@ def _decode(zvec: np.ndarray, spec: SarimaxSpec):
     ma = -_unconstrained_to_coeffs(zvec[k : k + q]); k += q
     sar = _unconstrained_to_coeffs(zvec[k : k + P]); k += P
     sma = -_unconstrained_to_coeffs(zvec[k : k + Q]); k += Q
-    return mean, beta, ar, ma, sar, sma
+    a, m = expand_polynomials(ar=ar, seasonal_ar=sar, ma=ma, seasonal_ma=sma, s=s)
+    T, R = build_state_space(a, m)
+    return mean, beta, ar, ma, sar, sma, T, R
 
 
 def sarimax_fit(
@@ -286,46 +297,34 @@ def sarimax_fit(
     """Estimate a SARIMAX model on a plain series (exog as an n x k array
     aligned with y, column order following spec.exog_names)."""
     y = np.asarray(y, dtype=float)
-    p, d, q = spec.order
-    P, D, Q, s = spec.seasonal_order
+    _, d, _ = spec.order
+    _, D, _, s = spec.seasonal_order
     nx = len(spec.exog_names)
     if nx:
         if exog is None:
             raise ValueError("spec names exogenous series but none were supplied")
         exog = np.asarray(exog, dtype=float).reshape(len(y), nx)
+        wx, _ = difference(exog, d, D, s)
 
     w, tails = difference(y, d, D, s)
-    wx = None
-    if nx:
-        wx = exog
-        for _ in range(d):
-            wx = np.diff(wx, axis=0)
-        for _ in range(D):
-            wx = wx[s:] - wx[:-s]
     n = w.shape[0]
-    state_dim = max(p + s * P, q + s * Q + 1, 1)
-    if n <= spec.n_params + 1 or n <= state_dim:
+    x0 = np.zeros(spec.n_params - 1)
+    *_, T0, _ = model_from_parameters(x0, spec)
+    if n <= spec.n_params + 1 or n <= T0.shape[0]:
         raise FitError(f"series too short ({n} points) for spec {spec.key()}")
-
-    def build(zvec):
-        mean, beta, ar, ma, sar, sma = _decode(zvec, spec)
-        z = w - mean
-        if nx:
-            z = z - wx @ beta
-        a, m = expand_polynomials(ar=ar, seasonal_ar=sar, ma=ma, seasonal_ma=sma, s=s)
-        T, R = build_state_space(a, m)
-        return mean, beta, ar, ma, sar, sma, z, T, R
-
-    def negloglik(zvec):
-        *_, z, T, R = build(zvec)
-        ll, *_rest = concentrated_loglik(z, T, R)
-        return -ll if np.isfinite(ll) else 1e12
-
-    n_free = spec.n_params - 1
-    x0 = np.zeros(n_free)
     if spec.includes_mean:
         x0[0] = float(w.mean())
-    if n_free:
+
+    def centred(mean, beta):
+        z = w - mean
+        return z - wx @ beta if nx else z
+
+    def negloglik(zvec):
+        mean, beta, *_, T, R = model_from_parameters(zvec, spec)
+        ll, *_rest = concentrated_loglik(centred(mean, beta), T, R)
+        return -ll if np.isfinite(ll) else 1e12
+
+    if x0.size:
         result = minimize(
             negloglik,
             x0,
@@ -338,8 +337,8 @@ def sarimax_fit(
         zvec = x0
         converged = True
 
-    mean, beta, ar, ma, sar, sma, z, T, R = build(zvec)
-    ll, sigma2, v, F, a_next, P_next = concentrated_loglik(z, T, R)
+    mean, beta, ar, ma, sar, sma, T, R = model_from_parameters(zvec, spec)
+    ll, sigma2, v, F, a_next, P_next = concentrated_loglik(centred(mean, beta), T, R)
     if not np.isfinite(ll):
         raise FitError("likelihood is not finite at the optimum")
 
@@ -388,17 +387,15 @@ def psi_weights(a: np.ndarray, m: np.ndarray, horizon: int) -> np.ndarray:
     return psi
 
 
-def sarimax_forecast(
-    fit: SarimaxFit,
-    horizon: int,
-    future_exog: np.ndarray | None = None,
-    z_crit: float = 1.96,
-):
-    """Point forecasts with symmetric normal intervals on the original scale.
+def sarimax_forecast(fit: SarimaxFit, horizon: int, future_exog: np.ndarray | None = None):
+    """Point forecasts with symmetric 95% normal intervals on the original
+    scale.
 
-    For undifferenced specs the variance comes straight from the Kalman
-    prediction recursion (state uncertainty included); for integrated specs
-    it accumulates the psi weights of the full integrated lag polynomial.
+    Future exog is differenced like the fit's exog, stacked under the last
+    observed rows.  For undifferenced specs the variance comes straight from
+    the Kalman prediction recursion (state uncertainty included); for
+    integrated specs it accumulates the psi weights of the full integrated
+    lag polynomial, whose ARMA part is read off the fitted T and R.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -425,16 +422,11 @@ def sarimax_forecast(
         a = T @ a
         P = T @ P @ T.T + RR
 
-    p, d, q = spec.order
-    P_, D, Q, s = spec.seasonal_order
+    _, d, _ = spec.order
+    _, D, _, s = spec.seasonal_order
     point_w = point_w + fit.mean
     if nx:
-        # exogenous effect enters on the differenced scale used in fitting
-        wx_future = np.vstack([fit._exog_tail, future_exog])
-        for _ in range(d):
-            wx_future = np.diff(wx_future, axis=0)
-        for _ in range(D):
-            wx_future = wx_future[s:] - wx_future[:-s]
+        wx_future, _ = difference(np.vstack([fit._exog_tail, future_exog]), d, D, s)
         point_w = point_w + wx_future @ fit.exog_coef
 
     if d + D == 0:
@@ -442,24 +434,14 @@ def sarimax_forecast(
         var = var_w
     else:
         point = undifference(point_w, fit._diff_tail, s)
-        ar_red, ma_red = expand_polynomials(
-            ar=fit.ar, seasonal_ar=fit.seasonal_ar, ma=fit.ma, seasonal_ma=fit.seasonal_ma, s=s
-        )
-        # fold the differencing operators into the AR polynomial
-        poly = np.zeros(len(ar_red) + 1)
-        poly[0] = 1.0
-        poly[1:] = -ar_red
-        for _ in range(d):
-            poly = np.convolve(poly, [1.0, -1.0])
-        seas = np.zeros(s + 1)
-        seas[0] = 1.0
-        seas[s] = -1.0
-        for _ in range(D):
-            poly = np.convolve(poly, seas)
-        full_a = -poly[1:]
-        psi = psi_weights(full_a, ma_red, horizon)
+        # (1 - B)^d (1 - B^s)^D times the AR polynomial, by differencing its
+        # zero-padded coefficients; the trailing zeros that T and R may carry
+        # leave the psi weights unchanged
+        pad = np.zeros(d + s * D)
+        poly, _ = difference(np.r_[pad, 1.0, -T[:, 0], pad], d, D, s)
+        psi = psi_weights(-poly[1:], R[1:], horizon)
         var = fit.sigma2 * np.cumsum(psi**2)
 
-    half = z_crit * np.sqrt(np.maximum(var, 0.0))
+    half = 1.96 * np.sqrt(np.maximum(var, 0.0))
     intervals = np.column_stack([point - half, point + half])
     return point, intervals

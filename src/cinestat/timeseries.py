@@ -12,7 +12,9 @@ import numpy as np
 
 from .inference import StatTestResult
 from .special import chi2_sf
-from .statespace import FitError, SarimaxFit, SarimaxSpec, sarimax_fit, sarimax_forecast
+from .statespace import (
+    MAX_EVALUATIONS, SEASONAL_PERIOD, FitError, SarimaxFit, SarimaxSpec, sarimax_fit, sarimax_forecast,
+)
 
 ADF_CRITICAL = ((0.01, -3.43), (0.05, -2.86), (0.10, -2.57))
 
@@ -194,7 +196,7 @@ def adf_test(series, max_lag: int | None = None) -> StatTestResult:
     return result
 
 
-def decompose(series, period: int = 12):
+def decompose(series, period: int = SEASONAL_PERIOD):
     """Additive classical decomposition into (trend, seasonal, residual).
 
     Trend is a centered moving average (edges NaN); the seasonal component
@@ -237,23 +239,16 @@ def ljung_box(residuals, lags: int = 10) -> StatTestResult:
     return StatTestResult("ljung_box", q, p_value=chi2_sf(q, lags), df=lags)
 
 
-def fit_series(series: TimeSeries, spec: SarimaxSpec, max_evaluations: int = 2000) -> SarimaxFit:
-    return sarimax_fit(
-        series.values, spec, exog=series.exog_matrix(spec.exog_names),
-        max_evaluations=max_evaluations,
-    )
-
-
 def sarimax_grid_search(
     series: TimeSeries,
-    grid: dict[str, tuple[int, ...]] | None = None,
+    grid: dict[str, tuple[int, ...]],
     exog_names: tuple[str, ...] = (),
-    seasonal_period: int = 12,
-    max_evaluations: int = 2000,
+    max_evaluations: int = MAX_EVALUATIONS,
 ) -> SarimaxFit:
-    """Fit every (p,d,q)(P,D,Q) combination in the grid and keep the minimum
-    AIC; ties break toward the lexicographically smallest order tuple."""
-    grid = grid or {k: (0, 1) for k in "pdqPDQ"}
+    """Fit every (p,d,q)(P,D,Q) combination in the grid, with the seasonal
+    period SEASONAL_PERIOD, and keep the minimum AIC; ties break toward the
+    lexicographically smallest order tuple."""
+    exog = series.exog_matrix(exog_names)
     best: SarimaxFit | None = None
     failures = []
     combos = sorted(
@@ -261,8 +256,8 @@ def sarimax_grid_search(
     )
     for p, d, q, P, D, Q in combos:
         try:
-            spec = SarimaxSpec((p, d, q), (P, D, Q, seasonal_period), tuple(exog_names))
-            fit = fit_series(series, spec, max_evaluations=max_evaluations)
+            spec = SarimaxSpec((p, d, q), (P, D, Q, SEASONAL_PERIOD), tuple(exog_names))
+            fit = sarimax_fit(series.values, spec, exog=exog, max_evaluations=max_evaluations)
         except (FitError, ValueError) as exc:
             failures.append(((p, d, q, P, D, Q), str(exc)))
             continue

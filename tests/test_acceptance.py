@@ -138,7 +138,7 @@ def test_criterion_04_kalman_likelihood_exactness():
         P0 = initial_covariance(T, R)
         n = int(rng.integers(2, 7))
         z = rng.normal(size=n)
-        v, F, _, _ = kalman_filter(z, T, R, P0=P0.copy())
+        v, F, _, _ = kalman_filter(z, T, R)
         sigma2 = float(rng.uniform(0.5, 2.0))
         ll_filter = (
             -0.5 * n * math.log(2 * math.pi * sigma2)

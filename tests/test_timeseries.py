@@ -29,7 +29,6 @@ from cinestat.timeseries import (
     adf_test,
     aggregate_monthly,
     decompose,
-    fit_series,
     forecast,
     future_months,
     ljung_box,
@@ -158,7 +157,7 @@ class TestKalmanExactness:
             P0 = initial_covariance(T, R)
             n = 6
             z = rng.normal(size=n)
-            v, F, _, _ = kalman_filter(z, T, R, P0=P0.copy())
+            v, F, _, _ = kalman_filter(z, T, R)
             sigma2 = 1.3
             ll_filter = (
                 -0.5 * n * math.log(2 * math.pi * sigma2)
@@ -188,7 +187,7 @@ class TestKalmanExactness:
         P0 = initial_covariance(T, R)
         rng = np.random.default_rng(17)
         z = rng.normal(size=300)
-        v, F, _, _ = kalman_filter(z, T, R, P0=P0.copy())
+        v, F, _, _ = kalman_filter(z, T, R)
         # reference: plain recursion without freezing
         a = np.zeros(T.shape[0])
         P = P0.copy()
@@ -593,7 +592,7 @@ class TestGridSearch:
         aics = []
         for p in (0, 1):
             for q in (0, 1):
-                fit = fit_series(series, SarimaxSpec((p, 0, q)), max_evaluations=200)
+                fit = sarimax_fit(series.values, SarimaxSpec((p, 0, q)), max_evaluations=200)
                 aics.append(fit.aic)
         assert best.aic == pytest.approx(min(aics), abs=1e-9)
 
@@ -605,7 +604,7 @@ class TestGridSearch:
 
     def test_forecast_wrapper(self):
         series = make_series(ar1_series(phi=0.6, n=100, seed=113, mu=50.0))
-        fit = fit_series(series, SarimaxSpec((1, 0, 0)), max_evaluations=300)
+        fit = sarimax_fit(series.values, SarimaxSpec((1, 0, 0)), max_evaluations=300)
         point, intervals = forecast(fit, 12)
         assert point.shape == (12,)
         assert intervals.shape == (12, 2)
