@@ -9,7 +9,6 @@ import numpy as np
 
 from . import classifiers, inference, linear_models, neural, timeseries
 from .config import RunConfig
-from .statespace import SEASONAL_PERIOD
 from .data_pipeline import (
     ClassLabel,
     DesignMatrix,
@@ -20,6 +19,7 @@ from .data_pipeline import (
     make_binner,
     split_by_year,
 )
+from .statespace import SEASONAL_PERIOD
 
 
 class StageError(RuntimeError):
@@ -358,8 +358,8 @@ def fit_and_forecast(config: RunConfig, records):
     configured grid, and forecast ``config.forecast_horizon`` months.
 
     Future exogenous values are seasonal-naive: the last SEASONAL_PERIOD
-    observed months, repeated.  Returns the series, the winning fit and the forecast rows
-    (month, point, low, high).
+    observed months, repeated.  Returns the series, the winning fit and the
+    forecast rows (month, point, low, high).
     """
     exog_fields = tuple(config.sarimax_exog)
     series = timeseries.aggregate_monthly(records, exog_fields=exog_fields)

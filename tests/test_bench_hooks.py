@@ -1,0 +1,47 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps cinestat functions by
+patching module attributes.  A refactor that renames or deletes one of them
+fails here, instead of when the benchmark runs with ``--trace 1``."""
+
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
+import pytest
+
+from cinestat.statespace import SarimaxFit, kalman_filter
+from cinestat.timeseries import sarimax_grid_search
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TARGETS = _load_tracer().TARGETS
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", [(m, a) for m, a, _, _ in TARGETS], ids=[f"{m}.{a}" for m, a, _, _ in TARGETS]
+)
+def test_traced_name_resolves(module_name, attr):
+    module = importlib.import_module(f"cinestat.{module_name}")
+    assert callable(getattr(module, attr, None)), f"cinestat.{module_name}.{attr} is gone"
+
+
+def test_arguments_the_observers_read():
+    # the Kalman observer reads z and T positionally; the grid search is
+    # captured with its series as the first argument
+    assert list(inspect.signature(kalman_filter).parameters)[:2] == ["z", "T"]
+    assert list(inspect.signature(sarimax_grid_search).parameters)[0] == "series"
+
+
+def test_fit_carries_state_space():
+    # the likelihood oracle reads and replaces the fitted T and R
+    names = {f.name for f in dataclasses.fields(SarimaxFit)}
+    assert {"_T", "_R", "mean", "exog_coef", "sigma2", "log_likelihood"} <= names
