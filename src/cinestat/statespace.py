@@ -5,6 +5,13 @@ The (multiplicatively expanded) ARMA part of the differenced series is cast
 into the companion state-space form.  The innovation variance is
 concentrated out of the likelihood; AR/MA coefficients are kept stationary
 and invertible by optimizing through partial-autocorrelation space.
+
+The Kalman filter runs in two phases.  It runs the Riccati recursion until
+the predicted covariance stops changing and the gain equals the innovation
+loading R, which an invertible MA part always reaches; from that step on
+the filter is the ARMA innovations recursion, whose coefficients it reads
+off the companion form (AR from T[:, 0], MA from R[1:]), and each further
+observation costs a few scalar operations instead of an r x r update.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 DIFFUSE_VARIANCE = 1e7
+GAIN_TOLERANCE = 1e-8
 MAX_EVALUATIONS = 2000
 SEASONAL_PERIOD = 12  # months
 
@@ -166,9 +174,9 @@ def stationary_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray | None:
             A = A @ A
         if not np.all(np.isfinite(P_next)):
             return None
-        if np.max(np.abs(P_next - P)) < 1e-14 * (1.0 + np.max(np.abs(P_next))):
+        if np.abs(P_next - P).max() < 1e-14 * (1.0 + np.abs(P_next).max()):
             # the propagated term must actually have died out
-            if np.max(np.abs(A)) > 1e-6:
+            if np.abs(A).max() > 1e-6:
                 return None
             return P_next
         P = P_next
@@ -188,6 +196,20 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
 
     Returns (innovations v, innovation variances F, predicted state a_{n+1|n},
     predicted covariance P_{n+1|n}).
+
+    The filter runs in two phases.  Until the gain freezes it is the full
+    Riccati recursion.  The gain freezes at step s once the predicted
+    covariance changes by less than 1e-12 of its size and the gain has
+    reached the innovation loading R; for an invertible MA part it always
+    does, and the state is then known exactly from the past.  From step s
+    on, F stays at the frozen P[0, 0], and the innovations come from the
+    ARMA recursion read off the companion form, AR coefficients c = T[:, 0]
+    and MA coefficients m = R[1:]:
+
+        v_t = z_t - sum_k c_k z_{t-k} - sum_k m_k v_{t-k} - a_s[t - s],
+
+    with both sums over lags that reach back no further than s, and the
+    frozen state a_s carrying what the history before s contributes.
     """
     r = T.shape[0]
     a = np.zeros(r)
@@ -196,25 +218,52 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     n = z.shape[0]
     v = np.empty(n)
     F = np.empty(n)
-    steady = False
-    K = None
-    TK = None
+    s = n
     for t in range(n):
         vt = z[t] - a[0]
         v[t] = vt
         F[t] = P[0, 0]
-        if steady:
-            a = T @ a + TK * vt
-            continue
         K = P[:, 0] / P[0, 0]
         a = T @ (a + K * vt)
         P_next = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
-        # once the covariance recursion fixes, freeze the gain
-        if np.max(np.abs(P_next - P)) < 1e-12 * (1.0 + np.max(np.abs(P_next))):
-            steady = True
-            TK = T @ K
+        fixed = np.abs(P_next - P).max() < 1e-12 * (1.0 + np.abs(P_next).max())
         P = P_next
-    return v, F, a, P
+        if fixed and np.abs(K - R).max() < GAIN_TOLERANCE:
+            s = t + 1
+            break
+    if s == n:
+        return v, F, a, P
+
+    F[s:] = P[0, 0]
+    c = T[:, 0]
+    steps = n - s
+    e = z[s:].astype(float)
+    e[: min(steps, r)] -= a[:steps]
+    for k in np.flatnonzero(c[: steps - 1]) + 1:
+        e[k:] -= c[k - 1] * z[s : n - k]
+    ma = [(int(k), float(R[k])) for k in np.flatnonzero(R[1:]) + 1]
+    if ma:
+        # v[t] with t < s stands at 0: a_s already holds those MA terms
+        depth = ma[-1][0]
+        w = [0.0] * depth + e.tolist()
+        for t in range(depth, depth + steps):
+            acc = w[t]
+            for k, m_k in ma:
+                acc -= m_k * w[t - k]
+            w[t] = acc
+        v[s:] = w[depth:]
+    else:
+        v[s:] = e
+
+    # a_{n+1|n}[i] = sum over j >= i of c[j] z[n-1-j+i] + R[j+1] v[n-1-j+i]
+    # over the steady phase's last r steps, plus what is left of a_s when
+    # the phase is shorter than r
+    h = min(steps, r)
+    m_next = np.zeros(r)
+    m_next[:-1] = R[1:]
+    a_next = (np.convolve(c, z[n - h :]) + np.convolve(m_next, v[n - h :]))[h - 1 : h - 1 + r]
+    a_next[: r - h] += a[h:]
+    return v, F, a_next, P
 
 
 def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray):

@@ -180,26 +180,91 @@ class TestKalmanExactness:
         assert sigma2 == pytest.approx(s2, rel=1e-10)
         assert ll == pytest.approx(ref, abs=1e-6)
 
-    def test_steady_state_freeze_harmless(self):
-        # long series exercise the frozen-gain path; innovations must agree
-        # with a no-freeze reference recursion
-        T, R = build_state_space(np.array([0.7]), np.array([0.2]))
+    @staticmethod
+    def _freeze_step(T, R):
+        """First step filtered by the steady phase: one past the Riccati step
+        at which the covariance stops changing."""
+        P = initial_covariance(T, R)
+        RR = np.outer(R, R)
+        for t in range(10_000):
+            K = P[:, 0] / P[0, 0]
+            P_next = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
+            if np.max(np.abs(P_next - P)) < 1e-12 * (1.0 + np.max(np.abs(P_next))):
+                return t + 1
+            P = P_next
+        raise AssertionError("the covariance recursion never fixed")
+
+    @pytest.mark.parametrize(
+        "a_coefs, m_coefs, length, diffuse",
+        [
+            pytest.param([0.7], [0.2], lambda s: 300, False, id="arma11"),
+            # (1,0,0)(1,0,0)12: r = 13 and no MA lag
+            pytest.param(
+                *expand_polynomials(ar=[0.5], seasonal_ar=[0.4], ma=[], seasonal_ma=[], s=12),
+                lambda s: 300,
+                False,
+                id="ar_sar12",
+            ),
+            # (1,0,0)(0,0,1)12: the one MA lag is 12
+            pytest.param(
+                *expand_polynomials(ar=[0.5], seasonal_ar=[], ma=[], seasonal_ma=[0.6], s=12),
+                lambda s: s + 100,
+                False,
+                id="ar_sma12",
+            ),
+            # (0,0,1)(0,0,1)12: MA lags 1, 12 and 13, r = 14
+            pytest.param(
+                *expand_polynomials(ar=[], seasonal_ar=[], ma=[0.4], seasonal_ma=[0.5], s=12),
+                lambda s: s + 100,
+                False,
+                id="ma_sma12",
+            ),
+            # a unit root: no stationary covariance, so the start is diffuse
+            pytest.param([1.0], [0.3], lambda s: 300, True, id="unit_root_diffuse"),
+            # a non-invertible MA part: the gain settles away from R, so the
+            # Riccati recursion runs to the end
+            pytest.param([0.5], [2.0], lambda s: 300, False, id="noninvertible_ma"),
+            # (2,0,1)(1,0,1)12: a steady phase of 13 steps, one short of
+            # r = 14, that AR lags 1, 2 and 12 reach into; a_s[13] carries
+            # over into the returned state
+            pytest.param(
+                *expand_polynomials(ar=[0.5, 0.2], seasonal_ar=[0.4], ma=[0.4], seasonal_ma=[0.5], s=12),
+                lambda s: s + 13,
+                False,
+                id="short_steady_phase",
+            ),
+            pytest.param([0.7], [0.6], lambda s: s - 3, False, id="ends_before_freeze"),
+            pytest.param([0.7], [0.6], lambda s: s, False, id="freeze_at_last_observation"),
+            pytest.param([0.7], [0.6], lambda s: s + 1, False, id="last_observation_steady"),
+        ],
+    )
+    def test_steady_state_freeze_harmless(self, a_coefs, m_coefs, length, diffuse):
+        # the steady phase must agree with a no-freeze reference recursion
+        T, R = build_state_space(np.asarray(a_coefs, dtype=float), np.asarray(m_coefs, dtype=float))
         P0 = initial_covariance(T, R)
+        assert (stationary_covariance(T, R) is None) == diffuse
+        s = self._freeze_step(T, R)
+        n = length(s)
+        assert n > 0
         rng = np.random.default_rng(17)
-        z = rng.normal(size=300)
-        v, F, _, _ = kalman_filter(z, T, R)
+        z = rng.normal(size=n)
+        v, F, a_next, P_next = kalman_filter(z, T, R)
         # reference: plain recursion without freezing
         a = np.zeros(T.shape[0])
         P = P0.copy()
         RR = np.outer(R, R)
-        for t in range(300):
-            vt = z[t] - a[0]
-            Ft = P[0, 0]
-            assert v[t] == pytest.approx(vt, abs=1e-8)
-            assert F[t] == pytest.approx(Ft, abs=1e-8)
-            K = P[:, 0] / Ft
-            a = T @ (a + K * vt)
+        v_ref = np.empty(n)
+        F_ref = np.empty(n)
+        for t in range(n):
+            v_ref[t] = z[t] - a[0]
+            F_ref[t] = P[0, 0]
+            K = P[:, 0] / F_ref[t]
+            a = T @ (a + K * v_ref[t])
             P = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(F, F_ref, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(a_next, a, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(P_next, P, rtol=0, atol=1e-8)
 
 
 class TestDifferencing:
