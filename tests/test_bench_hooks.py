@@ -8,9 +8,11 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
-from cinestat.statespace import SarimaxFit, kalman_filter
+from cinestat import statespace
+from cinestat.statespace import SarimaxFit, SarimaxSpec, kalman_filter
 from cinestat.timeseries import sarimax_grid_search
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -45,3 +47,21 @@ def test_fit_carries_state_space():
     # the likelihood oracle reads and replaces the fitted T and R
     names = {f.name for f in dataclasses.fields(SarimaxFit)}
     assert {"_T", "_R", "mean", "exog_coef", "sigma2", "log_likelihood"} <= names
+
+
+def test_fit_filters_through_the_module_attribute(monkeypatch):
+    # the tracer counts Kalman filter calls by patching statespace.kalman_filter;
+    # a fit that inlines the filter, or reaches it any other way, would
+    # leave the benchmark's statespace.kalman_filter metrics at zero
+    calls = {"kalman_filter": 0, "concentrated_loglik": 0}
+    for name in calls:
+        original = getattr(statespace, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(statespace, name, counting)
+    y = np.random.default_rng(3).normal(size=60)
+    statespace.sarimax_fit(y, SarimaxSpec((1, 0, 0)), max_evaluations=20)
+    assert calls["kalman_filter"] == calls["concentrated_loglik"] > 1
