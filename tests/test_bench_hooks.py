@@ -53,15 +53,20 @@ def test_fit_filters_through_the_module_attribute(monkeypatch):
     # the tracer counts Kalman filter calls by patching statespace.kalman_filter;
     # a fit that inlines the filter, or reaches it any other way, would
     # leave the benchmark's statespace.kalman_filter metrics at zero
-    calls = {"kalman_filter": 0, "concentrated_loglik": 0}
-    for name in calls:
+    calls = {}
+
+    def count(name):
         original = getattr(statespace, name)
+        calls[name] = 0
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(statespace, name, counting)
+        monkeypatch.setattr(statespace, name, counted)
+
+    count("kalman_filter")
+    count("concentrated_loglik")
     y = np.random.default_rng(3).normal(size=60)
     statespace.sarimax_fit(y, SarimaxSpec((1, 0, 0)), max_evaluations=20)
     assert calls["kalman_filter"] == calls["concentrated_loglik"] > 1

@@ -182,8 +182,9 @@ class TestKalmanExactness:
 
     @staticmethod
     def _freeze_step(T, R):
-        """First step filtered by the steady phase: one past the Riccati step
-        at which the covariance stops changing."""
+        """One past the Riccati step at which the covariance stops changing:
+        the first step of the filter's steady phase when the MA part is
+        invertible."""
         P = initial_covariance(T, R)
         RR = np.outer(R, R)
         for t in range(10_000):
