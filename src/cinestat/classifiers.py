@@ -163,49 +163,68 @@ def ordinal_svm_fit(
     n, p = X.shape
     feature_names = feature_names or [f"x{j}" for j in range(p)]
 
+    # Each step is the array update
+    #     gw = w/n - sum_j [hinge_j active] C*s_j*x;  gb_j = [hinge_j active] C*s_j
+    #     w -= eta*gw;  b -= eta*gb;  avg += (new - avg)/t
+    # written with few numpy calls and the same rounding: the thresholds and
+    # their averages are Python floats, (C*s)*x is exactly +-(C*x) and
+    # g - (-(C*x)) is exactly g + C*x, so the rows are scaled by C once; the
+    # two hinge terms stay two updates (one 2*C*x update rounds differently);
+    # ndarray.dot is the same BLAS ddot as `@` at half its call cost, and t
+    # and n are floats (exact below 2**53) because numpy converts a Python int
+    # operand more slowly than a float.
+    rows = list(X)
+    c_rows = list(C * X)
+    signs = [(1.0 if v >= 1 else -1.0, 1.0 if v >= 2 else -1.0) for v in y.tolist()]
     w = np.zeros(p)
-    b = np.array([-1.0, 1.0])
+    b1, b2 = -1.0, 1.0
     avg_w = np.zeros(p)
-    avg_b = np.zeros(2)
+    ab1, ab2 = 0.0, 0.0
     trace: list[float] = []
     rng = np.random.default_rng(seed)
-    t = 0
+    n_float = float(n)
+    t = 0.0
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
+        for i in rng.permutation(n).tolist():
+            t += 1.0
             eta = 1.0 / (C * t)
-            gw = w / n
-            gb = np.zeros(2)
-            score = float(X[i] @ w)
-            for j in (1, 2):
-                s = 1.0 if y[i] >= j else -1.0
-                if 1.0 - s * (score - b[j - 1]) > 0.0:
-                    gw -= C * s * X[i]
-                    gb[j - 1] += C * s
-            w -= eta * gw
-            b -= eta * gb
-            avg_w += (w - avg_w) / t
-            avg_b += (b - avg_b) / t
-        trace.append(_ordinal_objective(X, y, avg_w, avg_b, C))
+            gw = w / n_float
+            g1 = g2 = 0.0
+            score = float(rows[i].dot(w))
+            s1, s2 = signs[i]
+            if 1.0 - s1 * (score - b1) > 0.0:
+                if s1 > 0.0:
+                    gw -= c_rows[i]
+                else:
+                    gw += c_rows[i]
+                g1 = C * s1
+            if 1.0 - s2 * (score - b2) > 0.0:
+                if s2 > 0.0:
+                    gw -= c_rows[i]
+                else:
+                    gw += c_rows[i]
+                g2 = C * s2
+            gw *= eta
+            w -= gw
+            b1 -= eta * g1
+            b2 -= eta * g2
+            d = w - avg_w
+            d /= t
+            avg_w += d
+            ab1 += (b1 - ab1) / t
+            ab2 += (b2 - ab2) / t
+        trace.append(_ordinal_objective(X, y, avg_w, [ab1, ab2], C))
 
-    b1, b2 = sorted(avg_b.tolist())
+    b1, b2 = sorted([ab1, ab2])
     if b1 == b2:
         b2 = b1 + 1e-9
     return OrdinalSvmModel(feature_names, avg_w, b1, b2, C, objective_trace=trace)
 
 
 def ordinal_svm_predict(model: OrdinalSvmModel, X) -> list[ClassLabel]:
+    """Flop below b1, Neutral in [b1, b2), Hit from b2 up."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.weights.shape[0]:
         raise ValueError("column mismatch")
-    scores = X @ model.weights
-    out = []
-    for s in scores:
-        if s < model.b1:
-            out.append(ClassLabel.FLOP)
-        elif s < model.b2:
-            out.append(ClassLabel.NEUTRAL)
-        else:
-            out.append(ClassLabel.HIT)
-    return out
+    idx = np.searchsorted([model.b1, model.b2], X @ model.weights, side="right")
+    return [ClassLabel(int(k)) for k in idx]

@@ -198,7 +198,6 @@ def silhouette(X, labels) -> float:
     if uniq.size < 2:
         raise ValueError("need at least two distinct labels")
     n = X.shape[0]
-    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     scores = np.zeros(n)
     masks = {u: labels == u for u in uniq}
     for i in range(n):
@@ -206,8 +205,10 @@ def silhouette(X, labels) -> float:
         size = int(own.sum())
         if size == 1:
             continue
-        a = d[i, own].sum() / (size - 1)
-        b = min(d[i, masks[u]].mean() for u in uniq if u != labels[i])
+        # row i of the pairwise distance matrix, O(n*p) memory
+        d = np.sqrt(((X[i] - X) ** 2).sum(axis=1))
+        a = d[own].sum() / (size - 1)
+        b = min(d[masks[u]].mean() for u in uniq if u != labels[i])
         scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 

@@ -225,7 +225,7 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
         F[t] = P[0, 0]
         K = P[:, 0] / P[0, 0]
         a = T @ (a + K * vt)
-        P_next = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
+        P_next = T @ (P - K[:, None] * P[0, :]) @ T.T + RR
         fixed = np.abs(P_next - P).max() < 1e-12 * (1.0 + np.abs(P_next).max())
         P = P_next
         if fixed and np.abs(K - R).max() < GAIN_TOLERANCE:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from cinestat import statespace
+from cinestat.classifiers import ordinal_svm_fit
+from cinestat.inference import silhouette
 from cinestat.statespace import SarimaxFit, SarimaxSpec, kalman_filter
 from cinestat.timeseries import sarimax_grid_search
 
@@ -38,9 +40,13 @@ def test_traced_name_resolves(module_name, attr):
 
 def test_arguments_the_observers_read():
     # the Kalman observer reads z and T positionally; the grid search is
-    # captured with its series as the first argument
+    # captured with its series as the first argument; the SVM and silhouette
+    # observers bind their arguments by name
     assert list(inspect.signature(kalman_filter).parameters)[:2] == ["z", "T"]
     assert list(inspect.signature(sarimax_grid_search).parameters)[0] == "series"
+    # the SVM observer counts len(X) * epochs steps; silhouette's reads X's shape
+    assert {"X", "epochs"} <= set(inspect.signature(ordinal_svm_fit).parameters)
+    assert "X" in inspect.signature(silhouette).parameters
 
 
 def test_fit_carries_state_space():

@@ -174,3 +174,62 @@ class TestOrdinalSvm:
         model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)
         with pytest.raises(ValueError):
             ordinal_svm_predict(model, [[1.0, 2.0]])
+
+
+def reference_svm_fit(X, labels, C, epochs, seed):
+    """The all-threshold subgradient loop in its array form (a 2-element
+    threshold array, one numpy update per hinge term), which ordinal_svm_fit
+    must match bit for bit.  Also counts the steps in which one row paid
+    hinge terms of both signs."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray([int(l) for l in labels])
+    n, p = X.shape
+    w = np.zeros(p)
+    b = np.array([-1.0, 1.0])
+    avg_w = np.zeros(p)
+    avg_b = np.zeros(2)
+    trace = []
+    rng = np.random.default_rng(seed)
+    t = 0
+    mixed_steps = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            eta = 1.0 / (C * t)
+            gw = w / n
+            gb = np.zeros(2)
+            score = float(X[i] @ w)
+            for j in (1, 2):
+                s = 1.0 if y[i] >= j else -1.0
+                if 1.0 - s * (score - b[j - 1]) > 0.0:
+                    gw -= C * s * X[i]
+                    gb[j - 1] += C * s
+            mixed_steps += bool(gb[0] > 0.0 > gb[1])
+            w -= eta * gw
+            b -= eta * gb
+            avg_w += (w - avg_w) / t
+            avg_b += (b - avg_b) / t
+        trace.append(_ordinal_objective(X, y, avg_w, avg_b, C))
+    b1, b2 = sorted(avg_b.tolist())
+    return avg_w, b1, b2, trace, mixed_steps
+
+
+class TestOrdinalSvmMatchesReferenceLoop:
+    @pytest.mark.parametrize("C", [1.0, 0.37])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical(self, C, seed):
+        # a narrow middle class keeps the thresholds within one margin of
+        # each other, so class-1 rows pay a +1 and a -1 hinge term in one step
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 3.0, size=120)
+        y = np.where(x < -0.3, 0, np.where(x < 0.3, 1, 2))
+        X = np.column_stack([x + rng.normal(0, 0.3, 120), rng.normal(size=(120, 3))])
+        labels = [ClassLabel(int(v)) for v in y]
+        w, b1, b2, trace, mixed_steps = reference_svm_fit(X, labels, C, epochs=6, seed=seed)
+        assert mixed_steps >= 10
+        model = ordinal_svm_fit(X, labels, C=C, epochs=6, seed=seed)
+        np.testing.assert_array_equal(model.weights, w)
+        assert model.b1 == b1
+        assert model.b2 == b2
+        assert model.objective_trace == trace

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,37 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
             silhouette(np.eye(3), [1, 1, 1])
+
+    def test_equals_dense_distance_matrix_reference(self):
+        # the per-row distances must give the float result of the full
+        # n x n x p tensor exactly, singleton class included
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(61, 10))
+        labels = np.array([0] * 20 + [1] * 25 + [2] * 15 + [3])
+        rng.shuffle(labels)
+        d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        masks = {u: labels == u for u in np.unique(labels)}
+        scores = np.zeros(len(X))
+        for i in range(len(X)):
+            own = masks[labels[i]]
+            if own.sum() == 1:
+                continue
+            a = d[i, own].sum() / (own.sum() - 1)
+            b = min(d[i, m].mean() for u, m in masks.items() if u != labels[i])
+            scores[i] = (b - a) / max(a, b)
+        assert silhouette(X, labels) == float(scores.mean())
+
+    def test_memory_below_quadratic(self):
+        n, p = 2000, 3
+        X = np.random.default_rng(9).normal(size=(n, p))
+        labels = np.arange(n) % 3
+        tracemalloc.start()
+        try:
+            silhouette(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestRocAuc:
