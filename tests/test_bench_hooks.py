@@ -40,11 +40,11 @@ def test_traced_name_resolves(module_name, attr):
 
 def test_arguments_the_observers_read():
     # the Kalman observer reads z and T positionally; the grid search is
-    # captured with its series as the first argument; the SVM and silhouette
-    # observers bind their arguments by name
+    # captured with its series as the first argument
     assert list(inspect.signature(kalman_filter).parameters)[:2] == ["z", "T"]
     assert list(inspect.signature(sarimax_grid_search).parameters)[0] == "series"
-    # the SVM observer counts len(X) * epochs steps; silhouette's reads X's shape
+    # the SVM and silhouette observers bind X (and epochs) by name: the SVM's
+    # step count is len(X) * epochs, silhouette's bytes come from X's shape
     assert {"X", "epochs"} <= set(inspect.signature(ordinal_svm_fit).parameters)
     assert "X" in inspect.signature(silhouette).parameters
 
