@@ -13,9 +13,10 @@ import pytest
 
 from cinestat import statespace
 from cinestat.classifiers import ordinal_svm_fit
+from cinestat.data_pipeline import load_movies
 from cinestat.inference import silhouette
 from cinestat.statespace import SarimaxFit, SarimaxSpec, kalman_filter
-from cinestat.timeseries import sarimax_grid_search
+from cinestat.timeseries import aggregate_monthly, sarimax_grid_search
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -47,6 +48,18 @@ def test_arguments_the_observers_read():
     # step count is len(X) * epochs, silhouette's bytes come from X's shape
     assert {"X", "epochs"} <= set(inspect.signature(ordinal_svm_fit).parameters)
     assert "X" in inspect.signature(silhouette).parameters
+
+
+def test_results_the_ingest_observers_read(fixture_csv):
+    # the load observer counts rows by len(result.records) and reads
+    # result.dropped; the monthly observer reads series.n and sums the
+    # interpolated flags
+    result = load_movies(fixture_csv)
+    assert len(result.records) == 200
+    assert isinstance(result.dropped, int)
+    series = aggregate_monthly(result.records)
+    assert isinstance(series.n, int)
+    assert series.interpolated.dtype == bool and series.interpolated.shape == (series.n,)
 
 
 def test_fit_carries_state_space():

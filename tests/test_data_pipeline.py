@@ -1,3 +1,9 @@
+import csv
+import dataclasses
+import datetime
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -227,3 +233,184 @@ class TestFeatureRows:
         records = load_movies(write_csv(tmp_path, [make_row(budget="")])).records
         X, kept = feature_rows(records, ["budget", "duration"])
         assert X.shape == (0, 2) and kept == []
+
+
+# --------------------------------------------------------------------------
+# Reference parse rules: a per-row copy of the loader as it was before the
+# columnar ingest, kept to pin every field and drop rule of load_movies.
+
+_REF_MISSING = {"", "na", "n/a", "nan", "null", "none", "-"}
+_REF_OPTIONAL = (
+    "top1000_voters_rating", "budget", "reviews_from_users", "reviews_from_critics", "metascore",
+)
+
+
+def _ref_parse_optional_float(raw):
+    if raw is None or raw.strip().lower() in _REF_MISSING:
+        return None
+    cleaned = re.sub(r"[^0-9eE.+-]", "", raw.strip())
+    try:
+        return float(cleaned)
+    except ValueError:
+        return None
+
+
+def _ref_parse_date(raw):
+    raw = raw.strip()
+    try:
+        return datetime.date.fromisoformat(raw)
+    except ValueError:
+        pass
+    m = re.fullmatch(r"(\d{4})(?:-(\d{1,2}))?", raw)
+    if m:
+        return datetime.date(int(m.group(1)), int(m.group(2) or 1), 1)
+    raise ValueError(f"unparseable date: {raw!r}")
+
+
+def _ref_parse_row(row, schema):
+    def get(fld):
+        return row.get(schema.get(fld, fld))
+
+    try:
+        date = _ref_parse_date(get("date_published"))
+        year = int(get("year"))
+        duration = int(float(get("duration")))
+        avg_vote = float(get("avg_vote"))
+        votes = int(float(get("votes")))
+        genres = frozenset(p.strip() for p in re.split(r"[|,;]", get("genres")) if p.strip())
+    except (TypeError, ValueError):
+        return None
+
+    if duration <= 0 or votes < 0 or not 0.0 <= avg_vote <= 10.0:
+        return None
+    if not genres or date.year != year:
+        return None
+
+    optional = {fld: _ref_parse_optional_float(get(fld)) for fld in _REF_OPTIONAL}
+    metascore = optional.pop("metascore")
+    if metascore is not None:
+        metascore = int(round(metascore))
+        if not 0 <= metascore <= 100:
+            return None
+    top1000 = optional.pop("top1000_voters_rating")
+    if top1000 is not None and not 0.0 <= top1000 <= 10.0:
+        return None
+    return dict(
+        title=(get("title") or "").strip(), year=year, date_published=date, duration=duration,
+        avg_vote=avg_vote, votes=votes, genres=genres, top1000_voters_rating=top1000,
+        metascore=metascore, **optional,
+    )
+
+
+def _ref_load(path, schema):
+    with open(path, newline="", encoding="utf-8") as fh:
+        sample = fh.read(4096)
+        fh.seek(0)
+        try:
+            dialect = csv.Sniffer().sniff(sample, delimiters=",;\t")
+        except csv.Error:
+            dialect = csv.excel
+        rows, dropped = [], 0
+        for row in csv.DictReader(fh, dialect=dialect):
+            rec = _ref_parse_row(row, schema)
+            if rec is None:
+                dropped += 1
+            else:
+                rows.append(rec)
+    return rows, dropped
+
+
+def _loaded_rows(result):
+    """The loaded rows as field dicts, a missing optional value as None."""
+    return [dataclasses.asdict(rec) for rec in result.records]
+
+
+def _row(**fields):
+    values = dict(title="A", year="2000", date_published="2000-05-01", duration="100",
+                  avg_vote="6.5", votes="1000", genres="Drama", top1000_voters_rating="6.0",
+                  budget="1000000", reviews_from_users="10", reviews_from_critics="5", metascore="70")
+    values.update(fields)
+    return values
+
+
+def _csv_text(rows, header=HEADER.split(","), delimiter=","):
+    """Rows (field dicts in header order, or raw lists) written as CSV."""
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(list(row.values()) if isinstance(row, dict) else row)
+    return out.getvalue()
+
+
+_FIELDS = HEADER.split(",")
+_EDGE_VALUES = ["$1,234.5", "1_000", "inf", "١٢٣", "12abc3", "1.2.3", "+5", "N/A", "-", "", " 42 "]
+_GOOD = [_row(title=f"G{i}") for i in range(3)]
+
+PARSE_CASES = {
+    # every edge value in every numeric field, except the integer fields'
+    # infinities (the overflow test covers those)
+    "numeric_edges": _csv_text(_GOOD + [
+        _row(title=f"{fld}={v}", **{fld: v})
+        for fld in ("duration", "avg_vote", "votes", "top1000_voters_rating", "budget",
+                    "reviews_from_users", "reviews_from_critics", "metascore")
+        for v in _EDGE_VALUES
+        if not (v == "inf" and fld in ("duration", "votes"))
+    ]),
+    "year_edges": _csv_text(_GOOD + [_row(title=f"y{v}", year=v) for v in _EDGE_VALUES + ["2_000"]]),
+    "metascore_rounding": _csv_text(_GOOD + [
+        _row(title=f"m{v}", metascore=v) for v in ("99.5", "100.4", "100.6", "0.5", "-0.4", "-0.6", "1e2")
+    ]),
+    "top1000_range": _csv_text(_GOOD + [_row(title=f"t{v}", top1000_voters_rating=v) for v in ("10.1", "10", "0", "-0.1")]),
+    "dates": _csv_text(_GOOD + [
+        _row(title="bare", year="1999", date_published="1999"),
+        _row(title="ym", year="1999", date_published="1999-7"),
+        _row(title="ym2", year="1999", date_published="1999-12"),
+        _row(title="bad_month", year="1999", date_published="1999-13"),
+        _row(title="mismatch", year="2001", date_published="2000-05-01"),
+        _row(title="garbage", date_published="May 2000"),
+        _row(title="spaced", date_published=" 2000-05-01 "),
+    ]),
+    "genres": _csv_text(_GOOD + [
+        _row(title="empty", genres=""),
+        _row(title="separators", genres=",;|"),
+        _row(title="mixed", genres="A|B; C,,"),
+        _row(title="spaced", genres=" Action ,Drama "),
+    ]),
+    "ragged_rows": _csv_text(_GOOD + [
+        list(_row(title="short").values())[:9],
+        [*_row(title="extra").values(), "surplus", "fields"],
+        [],
+        _row(title="after_blank"),
+    ]),
+    "duplicated_header": _csv_text(
+        [[*_row(title=f"D{i}").values(), str(40 + i)] for i in range(3)], header=_FIELDS + ["metascore"],
+    ),
+    "semicolon": _csv_text(_GOOD + [_row(title="s", budget="1,5")], delimiter=";"),
+    "tab": _csv_text(_GOOD + [_row(title="t", genres="A, B")], delimiter="\t"),
+    "schema_remap": _csv_text(
+        _GOOD + [_row(title="r", metascore="N/A")],
+        header=[{"title": "movie_name", "metascore": "critic_score"}.get(h, h) for h in _FIELDS],
+    ),
+}
+PARSE_SCHEMAS = {"schema_remap": {"title": "movie_name", "metascore": "critic_score"}}
+
+
+class TestParseRules:
+    @pytest.mark.parametrize("case", sorted(PARSE_CASES))
+    def test_load_matches_reference(self, tmp_path, case):
+        path = tmp_path / f"{case}.csv"
+        path.write_text(PARSE_CASES[case], encoding="utf-8")
+        schema = PARSE_SCHEMAS.get(case, {})
+        expected_rows, expected_dropped = _ref_load(path, schema)
+        result = load_movies(str(path), schema)
+        assert result.dropped == expected_dropped
+        assert _loaded_rows(result) == expected_rows
+
+    def test_cases_exercise_drops_and_missing_values(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text(PARSE_CASES["numeric_edges"], encoding="utf-8")
+        rows, dropped = _ref_load(path, {})
+        assert dropped > 0
+        assert any(r["budget"] is None for r in rows) and any(r["metascore"] is None for r in rows)
+        assert {r["budget"] for r in rows} >= {1234.5, 1000.0, 123.0, 5.0, 42.0}

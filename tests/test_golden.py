@@ -68,6 +68,14 @@ def test_forecast_stdout(tmp_path, monkeypatch):
     assert out.getvalue().encode("utf-8") == golden("forecast_stdout.txt")
 
 
+def test_ingest_summary_stdout(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["ingest", "--input", DATASET, "--summary"]) == 0
+    assert out.getvalue().encode("utf-8") == golden("ingest_summary.json")
+
+
 def test_2020_holdout_accuracies(golden_report):
     holdout = golden_report["test_2020"]
     assert holdout["n_rows"] == 184
