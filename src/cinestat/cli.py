@@ -59,15 +59,16 @@ def _cmd_ingest(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read schema: {exc}") from exc
     result = load_movies(args.input, schema)
-    split = split_by_year(result.records)
+    table = result.records
+    split = split_by_year(table)
     summary = {
-        "rows": len(result.records),
+        "rows": len(table),
         "dropped": result.dropped,
         "train": len(split.train),
         "validation": len(split.validation),
         "excluded_pre_1990": split.excluded,
-        "with_metascore": sum(1 for r in result.records if r.metascore is not None),
-        "genres": sorted(set().union(*(r.genres for r in result.records))),
+        "with_metascore": len(table.scored()),
+        "genres": table.vocabulary,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

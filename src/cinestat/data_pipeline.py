@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import datetime
 import enum
+import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +50,41 @@ class ClassLabel(enum.IntEnum):
         return {ClassLabel.FLOP: "F", ClassLabel.NEUTRAL: "N", ClassLabel.HIT: "H"}[self]
 
 
-@dataclass(frozen=True)
-class MovieRecord:
-    title: str
-    year: int
-    date_published: datetime.date
-    duration: int
-    avg_vote: float
-    votes: int
-    genres: frozenset[str]
-    top1000_voters_rating: float | None = None
-    budget: float | None = None
-    reviews_from_users: float | None = None
-    reviews_from_critics: float | None = None
-    metascore: int | None = None
+@dataclass
+class MovieTable:
+    """Parsed movie rows as typed columns, in file order.
+
+    ``columns`` holds every NUMERIC_FIELDS column as a float array, with NaN
+    for a missing optional value.  ``month`` is the publication month as
+    ``year * 12 + month - 1``.  ``genre_matrix[i, j]`` says whether row ``i``
+    carries genre ``vocabulary[j]``; the vocabulary is the sorted union of the
+    loaded rows' genres, and a row subset keeps it whole.
+    """
+
+    title: np.ndarray  # str objects
+    date_published: np.ndarray  # datetime.date objects
+    month: np.ndarray
+    columns: dict[str, np.ndarray]
+    vocabulary: list[str]
+    genre_matrix: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.title)
+
+    def take(self, index) -> MovieTable:
+        """The rows a boolean mask or an integer index array selects."""
+        return MovieTable(
+            self.title[index],
+            self.date_published[index],
+            self.month[index],
+            {name: column[index] for name, column in self.columns.items()},
+            self.vocabulary,
+            self.genre_matrix[index],
+        )
+
+    def scored(self) -> MovieTable:
+        """The rows that carry a metascore."""
+        return self.take(~np.isnan(self.columns["metascore"]))
 
 
 @dataclass
@@ -94,14 +117,14 @@ class DesignMatrix:
 
 @dataclass
 class LoadResult:
-    records: list[MovieRecord]
+    records: MovieTable
     dropped: int
 
 
 @dataclass
 class YearSplit:
-    train: list[MovieRecord]
-    validation: list[MovieRecord]
+    train: MovieTable
+    validation: MovieTable
     excluded: int
 
 
@@ -109,44 +132,60 @@ class SchemaError(ValueError):
     pass
 
 
-_MISSING = {"", "na", "n/a", "nan", "null", "none", "-"}
+_MISSING = frozenset({"", "na", "n/a", "nan", "null", "none", "-"})
+_NUMBER_CHARS = "0123456789eE.+-"
+_NOT_NUMBER = re.compile(r"[^0-9eE.+-]")
+_YEAR_MONTH = re.compile(r"(\d{4})(?:-(\d{1,2}))?")
+_GENRE_SEPARATOR = re.compile(r"[|,;]")
+_NAN = float("nan")
 
 
-def _parse_optional_float(raw: str | None) -> float | None:
-    if raw is None or raw.strip().lower() in _MISSING:
-        return None
-    # budgets may carry currency symbols / thousands separators
-    cleaned = re.sub(r"[^0-9eE.+-]", "", raw.strip())
+def _parse_optional_float(raw: str | None) -> float:
+    """The value of an optional numeric field; NaN when absent or missing."""
+    if raw is None:
+        return _NAN
+    raw = raw.strip()
+    if raw.lower() in _MISSING:
+        return _NAN
+    if raw.lstrip(_NUMBER_CHARS):
+        # budgets may carry currency symbols / thousands separators
+        raw = _NOT_NUMBER.sub("", raw)
     try:
-        return float(cleaned)
+        return float(raw)
     except ValueError:
-        return None
+        return _NAN
 
 
-def _parse_date(raw: str) -> datetime.date:
+def _parse_date(raw: str) -> tuple[datetime.date, int] | None:
+    """The date and its month index, or None when unparseable."""
     raw = raw.strip()
     try:
-        return datetime.date.fromisoformat(raw)
+        date = datetime.date.fromisoformat(raw)
     except ValueError:
-        pass
-    # tolerate year-month and bare-year dates seen in scraped data
-    m = re.fullmatch(r"(\d{4})(?:-(\d{1,2}))?", raw)
-    if m:
-        return datetime.date(int(m.group(1)), int(m.group(2) or 1), 1)
-    raise ValueError(f"unparseable date: {raw!r}")
+        # tolerate year-month and bare-year dates seen in scraped data
+        m = _YEAR_MONTH.fullmatch(raw)
+        if not m:
+            return None
+        try:
+            date = datetime.date(int(m.group(1)), int(m.group(2) or 1), 1)
+        except ValueError:
+            return None
+    return date, date.year * 12 + date.month - 1
 
 
-def _parse_genres(raw: str) -> frozenset[str]:
-    parts = re.split(r"[|,;]", raw)
-    return frozenset(p.strip() for p in parts if p.strip())
+# The fields in the order _read_rows reads them.
+_ROW_FIELDS = MANDATORY_COLUMNS + OPTIONAL_COLUMNS
 
 
 def load_movies(path, schema: dict[str, str] | None = None) -> LoadResult:
-    """Read a delimited movie file into records.
+    """Read a delimited movie file into a MovieTable in one streaming pass.
 
     ``schema`` maps record field names to CSV header names; identity mapping
-    by default.  Rows whose mandatory fields fail to parse, or that violate a
-    record invariant, are dropped and counted.
+    by default.  A repeated header name reads its last column, a short row
+    reads its missing fields as absent and blank lines are skipped, as with
+    ``csv.DictReader``.  Rows whose mandatory fields fail to parse (a
+    duration, vote count or metascore that overflows to infinity among
+    them), or that violate a record invariant, are dropped and counted.
     """
     schema = schema or {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -156,82 +195,106 @@ def load_movies(path, schema: dict[str, str] | None = None) -> LoadResult:
             dialect = csv.Sniffer().sniff(sample, delimiters=",;\t")
         except csv.Error:
             dialect = csv.excel
-        reader = csv.DictReader(fh, dialect=dialect)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, dialect=dialect)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError("file has no header row")
-        header = set(reader.fieldnames)
+        position = {name: j for j, name in enumerate(header)}
         for fld in MANDATORY_COLUMNS:
-            if schema.get(fld, fld) not in header:
+            if schema.get(fld, fld) not in position:
                 raise SchemaError(f"header lacks mandatory column {schema.get(fld, fld)!r}")
-
-        records: list[MovieRecord] = []
-        dropped = 0
-        for row in reader:
-            rec = _parse_row(row, schema)
-            if rec is None:
-                dropped += 1
-            else:
-                records.append(rec)
-
-    if not records:
-        raise ValueError("zero parseable rows")
-    return LoadResult(records, dropped)
+        return _read_rows(reader, len(header), [position.get(schema.get(fld, fld)) for fld in _ROW_FIELDS])
 
 
-def _parse_row(row: dict[str, str], schema: dict[str, str]) -> MovieRecord | None:
-    def get(fld):
-        return row.get(schema.get(fld, fld))
+def _read_rows(reader, width: int, positions: list[int | None]) -> LoadResult:
+    """Parse the data rows into a MovieTable; ``positions`` gives each
+    _ROW_FIELDS column's index in a row, None for an optional column the
+    header lacks.  Date and genre fields repeat, so each distinct one is
+    parsed once."""
+    j_title, j_year, j_date, j_duration, j_avg_vote, j_votes, j_genres = positions[:7]
+    optional = positions[7:]
+    dates_seen: dict[str, tuple[datetime.date, int] | None] = {}
+    genres_seen: dict[str, int] = {}  # genre field -> index into genre_sets
+    genre_sets: list[frozenset[str]] = []
 
-    try:
-        date = _parse_date(get("date_published"))
-        year = int(get("year"))
-        duration = int(float(get("duration")))
-        avg_vote = float(get("avg_vote"))
-        votes = int(float(get("votes")))
-        genres = _parse_genres(get("genres"))
-    except (TypeError, ValueError):
-        return None
-
-    if duration <= 0 or votes < 0 or not 0.0 <= avg_vote <= 10.0:
-        return None
-    if not genres or date.year != year:
-        return None
-
-    optional = {fld: _parse_optional_float(get(fld)) for fld in OPTIONAL_COLUMNS}
-    metascore = optional.pop("metascore")
-    if metascore is not None:
-        metascore = int(round(metascore))
-        if not 0 <= metascore <= 100:
+    def parse(row):
+        """(title, date and month, genre set index, NUMERIC_FIELDS values),
+        or None for a row to drop."""
+        raw_date, raw_genres = row[j_date], row[j_genres]
+        if raw_date not in dates_seen:
+            dates_seen[raw_date] = _parse_date(raw_date)
+        dated = dates_seen[raw_date]
+        try:
+            year = int(row[j_year])
+            duration = float(row[j_duration])
+            avg_vote = float(row[j_avg_vote])
+            votes = float(row[j_votes])
+            if raw_genres not in genres_seen:
+                genres = frozenset(p.strip() for p in _GENRE_SEPARATOR.split(raw_genres) if p.strip())
+                genres_seen[raw_genres] = len(genre_sets)
+                genre_sets.append(genres)
+        except (TypeError, ValueError):
             return None
-    top1000 = optional.pop("top1000_voters_rating")
-    if top1000 is not None and not 0.0 <= top1000 <= 10.0:
-        return None
+        genre_set = genres_seen[raw_genres]
+        # duration and votes are whole numbers, so an infinite one does not parse
+        if not (math.isfinite(duration) and math.isfinite(votes)):
+            return None
+        duration, votes = float(int(duration)), float(int(votes))
+        if duration <= 0 or votes < 0 or not 0.0 <= avg_vote <= 10.0:
+            return None
+        if dated is None or not genre_sets[genre_set] or dated[0].year != year:
+            return None
 
-    return MovieRecord(
-        title=(get("title") or "").strip(),
-        year=year,
-        date_published=date,
-        duration=duration,
-        avg_vote=avg_vote,
-        votes=votes,
-        genres=genres,
-        top1000_voters_rating=top1000,
-        metascore=metascore,
-        **optional,
+        top1000, budget, users, critics, metascore = [
+            _NAN if j is None else _parse_optional_float(row[j]) for j in optional
+        ]
+        if metascore == metascore:  # not NaN: present
+            if not math.isfinite(metascore) or not 0 <= round(metascore) <= 100:
+                return None
+            metascore = float(round(metascore))
+        if top1000 == top1000 and not 0.0 <= top1000 <= 10.0:
+            return None
+        values = (float(year), duration, avg_vote, votes, top1000, budget, users, critics, metascore)
+        return (row[j_title] or "").strip(), dated, genre_set, values
+
+    titles, dates, months, row_genre_sets = [], [], array("q"), array("q")
+    numbers = array("d")  # NUMERIC_FIELDS values, one row after another
+    dropped = 0
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        parsed = parse(row)
+        if parsed is None:
+            dropped += 1
+            continue
+        title, (date, month), genre_set, values = parsed
+        titles.append(title)
+        dates.append(date)
+        months.append(month)
+        row_genre_sets.append(genre_set)
+        numbers.extend(values)
+
+    if not titles:
+        raise ValueError("zero parseable rows")
+    numbers = np.frombuffer(numbers, dtype=float).reshape(len(titles), len(NUMERIC_FIELDS))
+    row_genre_sets = np.frombuffer(row_genre_sets, dtype=np.int64)
+    used = np.unique(row_genre_sets)
+    vocabulary = sorted(set().union(*(genre_sets[k] for k in used)))
+    column = {g: j for j, g in enumerate(vocabulary)}
+    set_matrix = np.zeros((len(genre_sets), len(vocabulary)), dtype=bool)
+    for k in used:
+        set_matrix[k, [column[g] for g in genre_sets[k]]] = True
+    table = MovieTable(
+        title=np.array(titles, dtype=object),
+        date_published=np.array(dates, dtype=object),
+        month=np.frombuffer(months, dtype=np.int64).copy(),
+        columns={name: numbers[:, k].copy() for k, name in enumerate(NUMERIC_FIELDS)},
+        vocabulary=vocabulary,
+        genre_matrix=set_matrix[row_genre_sets],
     )
-
-
-def binarize_multilabel(records: list[MovieRecord]) -> tuple[list[str], np.ndarray]:
-    """One row per record, one 0/1 column per genre in the sorted union vocabulary."""
-    if not records:
-        raise ValueError("empty record list")
-    vocabulary = sorted(set().union(*(rec.genres for rec in records)))
-    index = {g: j for j, g in enumerate(vocabulary)}
-    matrix = np.zeros((len(records), len(vocabulary)))
-    for i, rec in enumerate(records):
-        for g in rec.genres:
-            matrix[i, index[g]] = 1.0
-    return vocabulary, matrix
+    return LoadResult(table, dropped)
 
 
 def make_binner(flop_upper: int, neutral_upper: int):
@@ -251,50 +314,51 @@ def make_binner(flop_upper: int, neutral_upper: int):
     return binner
 
 
-def split_by_year(records: list[MovieRecord]) -> YearSplit:
+def split_by_year(table: MovieTable) -> YearSplit:
     """Train on 1990-2015 inclusive, validate on later years, exclude pre-1990."""
-    train = [r for r in records if TRAIN_YEAR_START <= r.year <= TRAIN_YEAR_END]
-    validation = [r for r in records if r.year > TRAIN_YEAR_END]
-    excluded = len(records) - len(train) - len(validation)
-    return YearSplit(train, validation, excluded)
+    year = table.columns["year"]
+    train = table.take((TRAIN_YEAR_START <= year) & (year <= TRAIN_YEAR_END))
+    validation = table.take(year > TRAIN_YEAR_END)
+    return YearSplit(train, validation, len(table) - len(train) - len(validation))
 
 
-def feature_rows(records: list[MovieRecord], feature_names: list[str]) -> tuple[np.ndarray, list[int]]:
+def feature_rows(table: MovieTable, feature_names: list[str]) -> tuple[np.ndarray, list[int]]:
     """Complete-case rows of the named features, in the given column order,
-    and the index of the record behind each row.
+    and the index of the table row behind each.
 
-    A missing numeric field leaves its record out.  Any other name reads as
-    genre membership (1.0 or 0.0), so a genre that no record carries gives a
+    A missing numeric value leaves its row out.  Any other name reads as
+    genre membership (1.0 or 0.0), so a genre that no row carries gives a
     column of zeros.
     """
-    rows, kept = [], []
-    for i, rec in enumerate(records):
-        row = [getattr(rec, n) if n in NUMERIC_FIELDS else float(n in rec.genres) for n in feature_names]
-        if None not in row:
-            rows.append(row)
-            kept.append(i)
-    return np.array(rows, dtype=float).reshape(len(rows), len(feature_names)), kept
+    genre_column = {g: j for j, g in enumerate(table.vocabulary)}
+    X = np.zeros((len(table), len(feature_names)))
+    for k, name in enumerate(feature_names):
+        if name in NUMERIC_FIELDS:
+            X[:, k] = table.columns[name]
+        elif name in genre_column:
+            X[:, k] = table.genre_matrix[:, genre_column[name]]
+    complete = ~np.isnan(X).any(axis=1)
+    return X[complete], np.flatnonzero(complete).tolist()
 
 
 def build_design_matrix(
-    records: list[MovieRecord],
+    table: MovieTable,
     feature_names: list[str],
     target_name: str,
 ) -> DesignMatrix:
     """Complete-case feature/target assembly in the given column order.
 
-    Feature names may be numeric record fields or genre names (binarized
-    to 0/1 membership indicators); a genre absent from every record is a
-    KeyError.
+    Feature names may be numeric fields or genre names (0/1 membership
+    indicators); a genre that no row of ``table`` carries is a KeyError.
     """
-    if not records:
+    if not len(table):
         raise ValueError("no records")
-    genre_vocab = set().union(*(rec.genres for rec in records))
+    carried = {g for g, any_row in zip(table.vocabulary, table.genre_matrix.any(axis=0)) if any_row}
     for name in list(feature_names) + [target_name]:
-        if name not in NUMERIC_FIELDS and name not in genre_vocab:
+        if name not in NUMERIC_FIELDS and name not in carried:
             raise KeyError(f"unknown feature name {name!r}")
 
-    values, kept = feature_rows(records, list(feature_names) + [target_name])
+    values, kept = feature_rows(table, list(feature_names) + [target_name])
     if not kept:
         raise ValueError("zero surviving rows after complete-case filtering")
     # contiguous copies: strided views can take other BLAS kernels, which sum

@@ -3,6 +3,7 @@ every applicable test, and assemble the comparison report."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from .config import RunConfig
 from .data_pipeline import (
     ClassLabel,
     DesignMatrix,
-    MovieRecord,
+    MovieTable,
     build_design_matrix,
     feature_rows,
     load_movies,
@@ -129,9 +130,8 @@ def run_pipeline(config: RunConfig) -> dict:
 def _ingest(config):
     loaded = load_movies(config.dataset, config.column_map)
     split = split_by_year(loaded.records)
-    train = [r for r in split.train if r.metascore is not None]
-    val = [r for r in split.validation if r.metascore is not None]
-    if not train or not val:
+    train, val = split.train.scored(), split.validation.scored()
+    if not len(train) or not len(val):
         raise ValueError("empty train or validation partition after filtering")
     return loaded, train, val
 
@@ -353,7 +353,7 @@ MODEL_STAGES = (
 # time series
 
 
-def fit_and_forecast(config: RunConfig, records):
+def fit_and_forecast(config: RunConfig, table: MovieTable):
     """Aggregate the monthly series, select its SARIMAX spec by AIC over the
     configured grid, and forecast ``config.forecast_horizon`` months.
 
@@ -362,7 +362,7 @@ def fit_and_forecast(config: RunConfig, records):
     forecast rows (month, point, low, high).
     """
     exog_fields = tuple(config.sarimax_exog)
-    series = timeseries.aggregate_monthly(records, exog_fields=exog_fields)
+    series = timeseries.aggregate_monthly(table, exog_fields=exog_fields)
     fit = timeseries.sarimax_grid_search(
         series,
         grid={k: list(v) for k, v in config.sarimax_grid.items()},
@@ -379,8 +379,8 @@ def fit_and_forecast(config: RunConfig, records):
     return series, fit, [(m, p, lo, hi) for m, p, (lo, hi) in zip(months, points, intervals)]
 
 
-def _timeseries_section(config, records):
-    series, fit, forecast_rows = fit_and_forecast(config, records)
+def _timeseries_section(config, table):
+    series, fit, forecast_rows = fit_and_forecast(config, table)
     adf = timeseries.adf_test(series.values)
     lb = timeseries.ljung_box(fit.residuals, lags=min(10, fit.nobs - 1))
     resid = fit.residuals
@@ -420,25 +420,29 @@ def _timeseries_section(config, records):
 # predictions on held-out records
 
 
-def predict_labels(predictor, records) -> list[ClassLabel | None]:
-    """One vectorized predict over the records' complete-case rows; None for a
-    record that lacks one of the model's numeric features."""
+def predict_labels(predictor, table: MovieTable) -> list[ClassLabel | None]:
+    """One vectorized predict over the table's complete-case rows; None for a
+    row that lacks one of the model's numeric features."""
     feats, predict = predictor
-    X, kept = feature_rows(records, feats)
-    labels = [None] * len(records)
+    X, kept = feature_rows(table, feats)
+    labels = [None] * len(table)
     for i, label in zip(kept, predict(X)):
         labels[i] = label
     return labels
 
 
-def predict_movies(predictors, records, binner, limit: int) -> list[dict]:
+def predict_movies(predictors, table: MovieTable, binner, limit: int) -> list[dict]:
     """Per-movie prediction rows for the most recent scored movies."""
-    scored = [r for r in records if r.metascore is not None]
-    scored.sort(key=lambda r: (r.date_published, r.title), reverse=True)
-    recent = scored[:limit]
-    if not recent:
+    scored = table.scored()
+    keys = list(zip(scored.date_published, scored.title))
+    order = sorted(range(len(scored)), key=keys.__getitem__, reverse=True)
+    recent = scored.take(np.array(order[:limit], dtype=np.intp))
+    if not len(recent):
         raise ValueError("no scorable movies")
-    rows = [{"movie": rec.title, "truth": binner(rec.metascore).short} for rec in recent]
+    rows = [
+        {"movie": title, "truth": binner(score).short}
+        for title, score in zip(recent.title, recent.columns["metascore"].tolist())
+    ]
     for name in sorted(predictors):
         for row, label in zip(rows, predict_labels(predictors[name], recent)):
             row[name] = label.short if label is not None else "-"
@@ -451,18 +455,15 @@ def _evaluate_2020(config, predictors, binner):
     flagged in the output)."""
     loaded = load_movies(config.test_2020, config.column_map)
     subs = config.test_2020_substitutions
-
-    def substituted(rec: MovieRecord) -> MovieRecord:
-        changes = {target: getattr(rec, source) for target, source in subs.items()}
-        return MovieRecord(**{**rec.__dict__, **changes}) if changes else rec
-
-    records = [substituted(r) for r in loaded.records if r.metascore is not None]
-    if not records:
+    table = loaded.records.scored()
+    columns = {target: table.columns[source] for target, source in subs.items()}
+    table = dataclasses.replace(table, columns={**table.columns, **columns})
+    if not len(table):
         raise ValueError("no scored rows in the 2020 holdout")
-    truths = [binner(rec.metascore) for rec in records]
-    out = {"substitutions": dict(subs), "n_rows": len(records), "accuracy": {}}
+    truths = [binner(score) for score in table.columns["metascore"].tolist()]
+    out = {"substitutions": dict(subs), "n_rows": len(table), "accuracy": {}}
     for name, predictor in predictors.items():
-        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, records), truths) if label is not None]
+        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, table), truths) if label is not None]
         if name == "logistic":
             # binary model: compare coarsened truth
             hits = sum((label == ClassLabel.HIT) == (truth == ClassLabel.HIT) for label, truth in scored)

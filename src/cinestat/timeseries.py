@@ -61,52 +61,47 @@ def future_months(series: TimeSeries, horizon: int) -> list[datetime.date]:
     return [_month_from_index(last + h) for h in range(1, horizon + 1)]
 
 
-def _interpolate_gaps(idx_to_val: dict[int, float], full_range: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    known = sorted(idx_to_val)
-    values = np.empty(len(full_range))
-    flags = np.zeros(len(full_range), dtype=bool)
-    for pos, i in enumerate(full_range):
-        if i in idx_to_val:
-            values[pos] = idx_to_val[i]
-        else:
-            flags[pos] = True
-            values[pos] = np.interp(i, known, [idx_to_val[k] for k in known])
-    return values, flags
+def _monthly_means(month: np.ndarray, values: np.ndarray, full_range: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per month of ``full_range``, the mean of its non-NaN ``values``, with
+    ``month`` sorted; months without one are linearly interpolated and
+    flagged.  Each month's sum is np.add.reduce over its values in row
+    order, as np.mean takes it, so the means are np.mean's bit for bit."""
+    present = ~np.isnan(values)
+    month, values = month[present], values[present]
+    if not len(values):
+        raise ValueError("no values to aggregate")
+    known, starts, counts = np.unique(month, return_index=True, return_counts=True)
+    bounds = starts.tolist() + [len(values)]
+    means = np.array([np.add.reduce(values[a:b]) for a, b in zip(bounds, bounds[1:])]) / counts
+    flags = np.ones(len(full_range), dtype=bool)
+    flags[known - full_range[0]] = False
+    out = np.empty(len(full_range))
+    out[~flags] = means
+    out[flags] = np.interp(full_range[flags], known, means)
+    return out, flags
 
 
-def aggregate_monthly(records, exog_fields: tuple[str, ...] = ()) -> TimeSeries:
-    """Mean metascore per publication month; empty months are linearly
-    interpolated and flagged.  ``exog_fields`` may name numeric record fields
-    to aggregate as monthly means, plus the pseudo-field ``movie_count``."""
-    buckets: dict[int, list] = {}
-    for rec in records:
-        if rec.metascore is None or rec.date_published is None:
-            continue
-        buckets.setdefault(_month_index(rec.date_published), []).append(rec)
-    if not buckets:
+def aggregate_monthly(table, exog_fields: tuple[str, ...] = ()) -> TimeSeries:
+    """Mean metascore per publication month of a MovieTable; empty months are
+    linearly interpolated and flagged.  ``exog_fields`` may name numeric
+    columns to aggregate as monthly means, plus the pseudo-field
+    ``movie_count``."""
+    scored = table.scored()
+    if not len(scored):
         raise ValueError("no records with both date_published and metascore")
-
-    full_range = list(range(min(buckets), max(buckets) + 1))
-    score_by_month = {
-        i: float(np.mean([r.metascore for r in recs])) for i, recs in buckets.items()
-    }
-    values, flags = _interpolate_gaps(score_by_month, full_range)
+    order = np.argsort(scored.month, kind="stable")
+    month = scored.month[order]
+    full_range = np.arange(month[0], month[-1] + 1)
+    values, flags = _monthly_means(month, scored.columns["metascore"][order], full_range)
 
     exog = {}
     for fld in exog_fields:
         if fld == "movie_count":
-            by_month = {i: float(len(recs)) for i, recs in buckets.items()}
-            series = np.array([by_month.get(i, 0.0) for i in full_range])
-            exog[fld] = series
-            continue
-        by_month = {}
-        for i, recs in buckets.items():
-            vals = [getattr(r, fld) for r in recs if getattr(r, fld) is not None]
-            if vals:
-                by_month[i] = float(np.mean(vals))
-        exog[fld], _ = _interpolate_gaps(by_month, full_range)
+            exog[fld] = np.bincount(month - month[0], minlength=len(full_range)).astype(float)
+        else:
+            exog[fld], _ = _monthly_means(month, scored.columns[fld][order], full_range)
 
-    months = [_month_from_index(i) for i in full_range]
+    months = [_month_from_index(i) for i in full_range.tolist()]
     return TimeSeries(months, values, exog=exog, interpolated=flags)
 
 

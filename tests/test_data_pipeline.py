@@ -1,17 +1,17 @@
 import csv
-import dataclasses
 import datetime
 import io
+import json
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cinestat.cli import main
 from cinestat.data_pipeline import (
     ClassLabel,
     SchemaError,
-    binarize_multilabel,
     build_design_matrix,
     feature_rows,
     load_movies,
@@ -46,7 +46,7 @@ class TestLoadMovies:
     def test_missing_metascore_kept_absent(self, tmp_path):
         path = write_csv(tmp_path, [make_row(meta="N/A")])
         result = load_movies(path)
-        assert result.records[0].metascore is None
+        assert np.isnan(result.records.columns["metascore"][0])
         assert result.dropped == 0
 
     def test_negative_duration_dropped(self, tmp_path):
@@ -73,50 +73,64 @@ class TestLoadMovies:
         header = HEADER.replace("title", "movie_name")
         path = write_csv(tmp_path, [make_row()], header=header)
         result = load_movies(path, {"title": "movie_name"})
-        assert result.records[0].title == "A"
+        assert result.records.title[0] == "A"
 
     def test_multi_genre_parsing(self, tmp_path):
         path = write_csv(tmp_path, [make_row(genres="Action, Drama")])
-        assert load_movies(path).records[0].genres == frozenset({"Action", "Drama"})
+        table = load_movies(path).records
+        assert {g for g, carried in zip(table.vocabulary, table.genre_matrix[0]) if carried} == {"Action", "Drama"}
+
+    def test_overflowing_number_dropped(self, tmp_path, capsys):
+        rows = [make_row(), make_row(title="B", duration="1e999"), make_row(title="C", votes="1e999"),
+                make_row(title="D", meta="1e999"), make_row(title="E", meta="-1e999")]
+        path = write_csv(tmp_path, rows)
+        result = load_movies(path)
+        assert result.records.title.tolist() == ["A"]
+        assert result.dropped == 4
+        assert main(["ingest", "--input", path, "--summary"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["rows"], summary["dropped"]) == (1, 4)
 
 
 class TestBinarizeMultilabel:
+    """The loaded table's genre encoding: one row per movie, one column per
+    genre of the sorted vocabulary."""
+
     def test_encoding_rule(self, tmp_path):
         path = write_csv(
             tmp_path,
             [make_row(genres="Action, Drama"), make_row(title="B", genres="Comedy")],
         )
-        records = load_movies(path).records
-        vocab, matrix = binarize_multilabel(records)
-        assert vocab == ["Action", "Comedy", "Drama"]
-        np.testing.assert_array_equal(matrix, [[1, 0, 1], [0, 1, 0]])
+        table = load_movies(path).records
+        assert table.vocabulary == ["Action", "Comedy", "Drama"]
+        np.testing.assert_array_equal(table.genre_matrix, [[1, 0, 1], [0, 1, 0]])
 
     def test_single_record_single_genre(self, tmp_path):
         path = write_csv(tmp_path, [make_row(genres="Drama")])
-        vocab, matrix = binarize_multilabel(load_movies(path).records)
-        assert vocab == ["Drama"]
-        np.testing.assert_array_equal(matrix, [[1]])
+        table = load_movies(path).records
+        assert table.vocabulary == ["Drama"]
+        np.testing.assert_array_equal(table.genre_matrix, [[1]])
 
     def test_identical_genre_sets_identical_rows(self, tmp_path):
         path = write_csv(
             tmp_path,
             [make_row(genres="Action, Drama"), make_row(title="B", genres="Drama, Action")],
         )
-        _, matrix = binarize_multilabel(load_movies(path).records)
+        matrix = load_movies(path).records.genre_matrix
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
     def test_roundtrip_reconstructs_genres(self, tmp_path):
-        rows = [make_row(title=f"M{i}", genres=g) for i, g in enumerate(
-            ["Action", "Action, Drama", "Comedy, Drama, War"])]
-        records = load_movies(write_csv(tmp_path, rows)).records
-        vocab, matrix = binarize_multilabel(records)
-        for rec, row in zip(records, matrix):
+        genres = ["Action", "Action, Drama", "Comedy, Drama, War"]
+        rows = [make_row(title=f"M{i}", genres=g) for i, g in enumerate(genres)]
+        table = load_movies(write_csv(tmp_path, rows)).records
+        vocab, matrix = table.vocabulary, table.genre_matrix
+        for field, row in zip(genres, matrix):
             decoded = {vocab[j] for j in range(len(vocab)) if row[j] == 1}
-            assert decoded == set(rec.genres)
+            assert decoded == set(field.split(", "))
 
-    def test_empty_list_rejected(self):
+    def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            binarize_multilabel([])
+            load_movies(write_csv(tmp_path, []))
 
 
 class TestBinning:
@@ -168,16 +182,17 @@ class TestSplitByYear:
     def test_split_rules(self, tmp_path):
         records = self._records(tmp_path, [1989, 1990, 2015, 2016, 2019])
         split = split_by_year(records)
-        assert [r.year for r in split.train] == [1990, 2015]
-        assert [r.year for r in split.validation] == [2016, 2019]
+        assert split.train.columns["year"].tolist() == [1990, 2015]
+        assert split.validation.columns["year"].tolist() == [2016, 2019]
         assert split.excluded == 1
 
     def test_partition_is_complete(self, tmp_path):
         records = self._records(tmp_path, [1991, 1999, 2003, 2016, 2018, 1985])
         split = split_by_year(records)
-        at_least_1990 = [r for r in records if r.year >= 1990]
-        assert len(split.train) + len(split.validation) == len(at_least_1990)
-        assert not (set(id(r) for r in split.train) & set(id(r) for r in split.validation))
+        at_least_1990 = int(np.sum(records.columns["year"] >= 1990))
+        assert len(split.train) + len(split.validation) == at_least_1990
+        # titles are unique, so they identify the rows
+        assert not (set(split.train.title) & set(split.validation.title))
 
 
 class TestBuildDesignMatrix:
@@ -321,8 +336,20 @@ def _ref_load(path, schema):
 
 
 def _loaded_rows(result):
-    """The loaded rows as field dicts, a missing optional value as None."""
-    return [dataclasses.asdict(rec) for rec in result.records]
+    """The loaded table's rows as field dicts, a missing optional value as None."""
+    table = result.records
+    rows = []
+    for i in range(len(table)):
+        row = {name: None if np.isnan(col[i]) else float(col[i]) for name, col in table.columns.items()}
+        row.update(
+            title=table.title[i],
+            date_published=table.date_published[i],
+            genres=frozenset(g for g, carried in zip(table.vocabulary, table.genre_matrix[i]) if carried),
+        )
+        date = row["date_published"]
+        assert table.month[i] == date.year * 12 + date.month - 1
+        rows.append(row)
+    return rows
 
 
 def _row(**fields):

@@ -85,18 +85,19 @@ def test_2020_holdout_accuracies(golden_report):
     }
 
 
-def reference_row(rec, feature_names):
-    """One record's feature vector, built field by field: None when a numeric
+def reference_row(table, i, feature_names):
+    """Row ``i``'s feature vector, built field by field: None when a numeric
     feature is missing, any other name read as 0/1 genre membership."""
+    genres = {g for g, carried in zip(table.vocabulary, table.genre_matrix[i]) if carried}
     vals = []
     for name in feature_names:
         if name in NUMERIC_FIELDS:
-            v = getattr(rec, name)
-            if v is None:
+            v = table.columns[name][i]
+            if np.isnan(v):
                 return None
             vals.append(float(v))
         else:
-            vals.append(1.0 if name in rec.genres else 0.0)
+            vals.append(1.0 if name in genres else 0.0)
     return np.array(vals)
 
 
@@ -105,18 +106,18 @@ def fitted_models():
     """Every model fitted on the fixture, with the record sets the report
     labels: the validation partition and the substituted holdout."""
     config = RunConfig.from_dict({**CONFIG, "dataset": str(ROOT / DATASET)})
-    records = load_movies(config.dataset).records
-    split = split_by_year(records)
-    train = [r for r in split.train if r.metascore is not None]
-    val = [r for r in split.validation if r.metascore is not None]
+    table = load_movies(config.dataset).records
+    split = split_by_year(table)
+    train, val = split.train.scored(), split.validation.scored()
     binner = make_binner(*config.bin_thresholds)
     models = {}
     for name, fit_model in MODEL_STAGES:
         row, _, predict = fit_model(name, config, train, val, binner)
         models[name] = (row["features"], predict)
-    holdout = [
-        dataclasses.replace(r, top1000_voters_rating=r.avg_vote) for r in records if r.metascore is not None
-    ]
+    holdout = table.scored()
+    holdout = dataclasses.replace(
+        holdout, columns={**holdout.columns, "top1000_voters_rating": holdout.columns["avg_vote"]}
+    )
     return models, {"validation": val, "holdout": holdout}
 
 
@@ -125,9 +126,9 @@ def fitted_models():
 def test_vectorized_labels_match_per_record_loop(fitted_models, model, record_set):
     models, record_sets = fitted_models
     feature_names, predict = models[model]
-    records = record_sets[record_set]
+    table = record_sets[record_set]
     expected = []
-    for rec in records:
-        x = reference_row(rec, feature_names)
+    for i in range(len(table)):
+        x = reference_row(table, i, feature_names)
         expected.append(None if x is None else predict(x.reshape(1, -1))[0])
-    assert predict_labels(models[model], records) == expected
+    assert predict_labels(models[model], table) == expected

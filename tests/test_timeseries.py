@@ -498,9 +498,51 @@ class TestMonthlyAggregation:
         np.testing.assert_allclose(series.exog["movie_count"], [2.0, 0.0, 1.0])
         assert series.months[0] == datetime.date(2000, 1, 1)
 
-    def test_no_usable_records(self):
+    def test_matches_per_month_reference(self, tmp_path):
+        # rows in random month order with non-integer values and gaps: each
+        # month's mean must be np.mean over its values in row order, and
+        # each gap month one np.interp over the known months
+        from test_data_pipeline import make_row, write_csv
+        from cinestat.data_pipeline import load_movies
+
+        rng = np.random.default_rng(5)
+        rows = []
+        for i in range(300):
+            year, month = 2000 + int(rng.integers(0, 3)), int(rng.choice([1, 2, 4, 7, 8, 11, 12]))
+            rows.append(make_row(
+                title=f"M{i}", year=year, date=f"{year}-{month:02d}-{int(rng.integers(1, 29)):02d}",
+                avg_vote=round(float(rng.uniform(1, 10)), 3), budget="" if rng.random() < 0.3 else float(rng.lognormal(15)),
+                meta="N/A" if rng.random() < 0.1 else int(rng.integers(0, 101)),
+            ))
+        table = load_movies(write_csv(tmp_path, rows)).records
+        fields = ("avg_vote", "budget", "movie_count")
+        series = aggregate_monthly(table, exog_fields=fields)
+
+        buckets = {}
+        for i in range(len(table)):
+            if not np.isnan(table.columns["metascore"][i]):
+                buckets.setdefault(int(table.month[i]), []).append(i)
+        full = list(range(min(buckets), max(buckets) + 1))
+
+        def reference(values_of):
+            known = {m: float(np.mean(v)) for m, idx in buckets.items() if (v := values_of(idx))}
+            ks = sorted(known)
+            return [known[m] if m in known else np.interp(m, ks, [known[k] for k in ks]) for m in full]
+
+        def column_values(name):
+            return lambda idx: [table.columns[name][i] for i in idx if not np.isnan(table.columns[name][i])]
+
+        np.testing.assert_array_equal(series.values, reference(column_values("metascore")))
+        np.testing.assert_array_equal(series.interpolated, [m not in buckets for m in full])
+        for name in ("avg_vote", "budget"):
+            np.testing.assert_array_equal(series.exog[name], reference(column_values(name)))
+        np.testing.assert_array_equal(series.exog["movie_count"], [len(buckets.get(m, [])) for m in full])
+        assert series.interpolated.sum() > 10
+
+    def test_no_usable_records(self, tmp_path):
+        table = self._records(tmp_path)
         with pytest.raises(ValueError):
-            aggregate_monthly([])
+            aggregate_monthly(table.take(np.zeros(len(table), dtype=bool)))
 
     def test_timeseries_invariants(self):
         months = [datetime.date(2000, 1, 1), datetime.date(2000, 3, 1)]
