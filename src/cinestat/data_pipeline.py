@@ -72,7 +72,7 @@ class MovieTable:
         return len(self.title)
 
     def take(self, index) -> MovieTable:
-        """The rows a boolean mask or an integer index array selects."""
+        """The rows a boolean mask or a sequence of row indices selects."""
         return MovieTable(
             self.title[index],
             self.date_published[index],

@@ -436,7 +436,7 @@ def predict_movies(predictors, table: MovieTable, binner, limit: int) -> list[di
     scored = table.scored()
     keys = list(zip(scored.date_published, scored.title))
     order = sorted(range(len(scored)), key=keys.__getitem__, reverse=True)
-    recent = scored.take(np.array(order[:limit], dtype=np.intp))
+    recent = scored.take(order[:limit])
     if not len(recent):
         raise ValueError("no scorable movies")
     rows = [

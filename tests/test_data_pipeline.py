@@ -201,6 +201,7 @@ class TestBuildDesignMatrix:
         records = load_movies(write_csv(tmp_path, rows)).records
         dm = build_design_matrix(records, ["budget", "duration"], "metascore")
         assert dm.n == 2
+        assert dm.values.flags.c_contiguous and dm.target.flags.c_contiguous
 
     def test_genre_columns_are_binary(self, tmp_path):
         rows = [make_row(genres="Action, Drama"), make_row(title="B", genres="Comedy")]
@@ -217,6 +218,16 @@ class TestBuildDesignMatrix:
         records = load_movies(write_csv(tmp_path, [make_row()])).records
         with pytest.raises(KeyError):
             build_design_matrix(records, ["not_a_column"], "metascore")
+
+    def test_genre_outside_the_partition_is_unknown(self, tmp_path):
+        # the vocabulary spans the whole file, but a name must be carried by
+        # a row of the partition passed in
+        rows = [make_row(year=2000, date="2000-05-01", genres="Drama"),
+                make_row(title="B", year=2018, date="2018-05-01", genres="Drama, War")]
+        split = split_by_year(load_movies(write_csv(tmp_path, rows)).records)
+        assert build_design_matrix(split.validation, ["War"], "metascore").n == 1
+        with pytest.raises(KeyError):
+            build_design_matrix(split.train, ["War"], "metascore")
 
     def test_no_non_finite_values(self, tmp_path):
         rows = [make_row(title=f"M{i}", meta=50 + i) for i in range(5)]
