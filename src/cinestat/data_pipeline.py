@@ -132,28 +132,29 @@ class SchemaError(ValueError):
     pass
 
 
-_MISSING = frozenset({"", "na", "n/a", "nan", "null", "none", "-"})
+_MISSING = {"", "na", "n/a", "nan", "null", "none", "-"}
 _NUMBER_CHARS = "0123456789eE.+-"
 _NOT_NUMBER = re.compile(r"[^0-9eE.+-]")
 _YEAR_MONTH = re.compile(r"(\d{4})(?:-(\d{1,2}))?")
 _GENRE_SEPARATOR = re.compile(r"[|,;]")
-_NAN = float("nan")
 
 
 def _parse_optional_float(raw: str | None) -> float:
     """The value of an optional numeric field; NaN when absent or missing."""
     if raw is None:
-        return _NAN
+        return math.nan
     raw = raw.strip()
     if raw.lower() in _MISSING:
-        return _NAN
+        return math.nan
     if raw.lstrip(_NUMBER_CHARS):
-        # budgets may carry currency symbols / thousands separators
+        # budgets may carry currency symbols / thousands separators; every
+        # character outside [0-9eE.+-] goes, so text "inf" and non-ASCII
+        # digits read as missing
         raw = _NOT_NUMBER.sub("", raw)
     try:
         return float(raw)
     except ValueError:
-        return _NAN
+        return math.nan
 
 
 def _parse_date(raw: str) -> tuple[datetime.date, int] | None:
@@ -246,7 +247,7 @@ def _read_rows(reader, width: int, positions: list[int | None]) -> LoadResult:
             return None
 
         top1000, budget, users, critics, metascore = [
-            _NAN if j is None else _parse_optional_float(row[j]) for j in optional
+            math.nan if j is None else _parse_optional_float(row[j]) for j in optional
         ]
         if metascore == metascore:  # not NaN: present
             if not math.isfinite(metascore) or not 0 <= round(metascore) <= 100:
