@@ -18,7 +18,7 @@ import pytest
 
 from cinestat.cli import main
 from cinestat.config import RunConfig
-from cinestat.data_pipeline import NUMERIC_FIELDS, load_movies, make_binner, split_by_year
+from cinestat.data_pipeline import NUMERIC_FIELDS, ClassLabel, load_movies, make_binner, split_by_year
 from cinestat.pipeline import MODEL_STAGES, predict_labels, run_pipeline
 from cinestat.report import emit_report, report_json, report_markdown
 
@@ -104,27 +104,29 @@ def reference_row(table, i, feature_names):
 @pytest.fixture(scope="module")
 def fitted_models():
     """Every model fitted on the fixture, with the record sets the report
-    labels: the validation partition and the substituted holdout."""
+    labels (the validation partition and the substituted holdout) and each
+    stage's reported validation accuracy."""
     config = RunConfig.from_dict({**CONFIG, "dataset": str(ROOT / DATASET)})
     table = load_movies(config.dataset).records
     split = split_by_year(table)
     train, val = split.train.scored(), split.validation.scored()
     binner = make_binner(*config.bin_thresholds)
-    models = {}
+    models, accuracies = {}, {}
     for name, fit_model in MODEL_STAGES:
         row, _, predict = fit_model(name, config, train, val, binner)
         models[name] = (row["features"], predict)
+        accuracies[name] = row["accuracy"]
     holdout = table.scored()
     holdout = dataclasses.replace(
         holdout, columns={**holdout.columns, "top1000_voters_rating": holdout.columns["avg_vote"]}
     )
-    return models, {"validation": val, "holdout": holdout}
+    return models, {"validation": val, "holdout": holdout}, accuracies
 
 
 @pytest.mark.parametrize("record_set", ["validation", "holdout"])
 @pytest.mark.parametrize("model", [name for name, _ in MODEL_STAGES])
 def test_vectorized_labels_match_per_record_loop(fitted_models, model, record_set):
-    models, record_sets = fitted_models
+    models, record_sets, _ = fitted_models
     feature_names, predict = models[model]
     table = record_sets[record_set]
     expected = []
@@ -132,3 +134,19 @@ def test_vectorized_labels_match_per_record_loop(fitted_models, model, record_se
         x = reference_row(table, i, feature_names)
         expected.append(None if x is None else predict(x.reshape(1, -1))[0])
     assert predict_labels(models[model], table) == expected
+
+
+@pytest.mark.parametrize("model", [name for name, _ in MODEL_STAGES])
+def test_reported_accuracy_is_the_served_predictors(fitted_models, model):
+    # the accuracy a stage reports is the share of validation rows that the
+    # predict serving the per-movie and 2020 rows labels correctly; the
+    # logistic model is judged on hit or not hit
+    models, record_sets, accuracies = fitted_models
+    val = record_sets["validation"]
+    binner = make_binner(*RunConfig.from_dict(CONFIG).bin_thresholds)
+    truths = [binner(score) for score in val.columns["metascore"].tolist()]
+    if model == "logistic":
+        truths = [ClassLabel.HIT if t == ClassLabel.HIT else ClassLabel.FLOP for t in truths]
+    scored = [(label, t) for label, t in zip(predict_labels(models[model], val), truths) if label is not None]
+    assert scored
+    assert accuracies[model] == sum(label == t for label, t in scored) / len(scored)
