@@ -157,8 +157,10 @@ def _parse_optional_float(raw: str | None) -> float:
         return math.nan
 
 
-def _parse_date(raw: str) -> tuple[datetime.date, int] | None:
-    """The date and its month index, or None when unparseable."""
+def _parse_date(raw: str | None) -> tuple[datetime.date, int] | None:
+    """The date and its month index, or None when absent or unparseable."""
+    if raw is None:
+        return None
     raw = raw.strip()
     try:
         date = datetime.date.fromisoformat(raw)

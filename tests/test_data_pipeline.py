@@ -91,6 +91,15 @@ class TestLoadMovies:
         summary = json.loads(capsys.readouterr().out)
         assert (summary["rows"], summary["dropped"]) == (1, 4)
 
+    def test_row_short_of_the_date_dropped(self, tmp_path, capsys):
+        path = write_csv(tmp_path, [make_row(), "B,2000"])
+        result = load_movies(path)
+        assert len(result.records) == 1
+        assert result.dropped == 1
+        assert main(["ingest", "--input", path, "--summary"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["rows"], summary["dropped"]) == (1, 1)
+
 
 class TestBinarizeMultilabel:
     """The loaded table's genre encoding: one row per movie, one column per
