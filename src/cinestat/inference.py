@@ -4,7 +4,7 @@ significance tests, clustering and classification scores."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +36,6 @@ class StatTestResult:
             "df": self.df,
             "reject_at_5pct": self.reject_at_5pct,
         }
-
-
-@dataclass
-class RegressionReport:
-    model: str
-    r2: float
-    adjusted_r2: float
-    f_test: StatTestResult
-    durbin_watson: StatTestResult
-    jarque_bera: StatTestResult
-    lagrange_multiplier: StatTestResult
-    accuracy: float
-    valid: bool = True
-    reasons: list[str] = field(default_factory=list)
 
 
 def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
@@ -259,19 +245,24 @@ def jaccard(set_a, set_b) -> float:
     return len(a & b) / len(a | b)
 
 
-def regression_validity(report: RegressionReport) -> tuple[bool, list[str]]:
+def regression_validity(
+    f_test: StatTestResult,
+    durbin_watson: StatTestResult,
+    jarque_bera: StatTestResult,
+    lagrange_multiplier: StatTestResult,
+) -> tuple[bool, list[str]]:
     """Rule a regression fit usable for further analysis.
 
     Requires normal errors (JB), no residual autocorrelation (LM p and a
     Durbin-Watson band around 2), and overall significance (F).
     """
     reasons = []
-    if report.jarque_bera.p_value is None or report.jarque_bera.p_value < ALPHA:
+    if jarque_bera.p_value is None or jarque_bera.p_value < ALPHA:
         reasons.append("non-normal errors (Jarque-Bera)")
-    if report.lagrange_multiplier.p_value is None or report.lagrange_multiplier.p_value < ALPHA:
+    if lagrange_multiplier.p_value is None or lagrange_multiplier.p_value < ALPHA:
         reasons.append("residual autocorrelation (LM)")
-    if report.f_test.p_value is None or report.f_test.p_value >= ALPHA:
+    if f_test.p_value is None or f_test.p_value >= ALPHA:
         reasons.append("overall regression insignificant (F)")
-    if not DW_BAND[0] <= report.durbin_watson.statistic <= DW_BAND[1]:
+    if not DW_BAND[0] <= durbin_watson.statistic <= DW_BAND[1]:
         reasons.append("autocorrelation (Durbin-Watson outside [1.5, 2.5])")
     return (not reasons, reasons)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_pipeline import ClassLabel, DesignMatrix
+from .inference import confusion_and_accuracy
 from .numerics import cholesky_solve, least_squares
 
 LASSO_TOL = 1e-7
@@ -51,12 +52,6 @@ class LogisticFit:
     @property
     def named(self) -> dict[str, float]:
         return dict(zip(self.feature_names, self.coefficients.tolist()))
-
-
-@dataclass
-class BinnedEvaluation:
-    accuracy: float
-    confusion: np.ndarray  # 3x3, rows = truth, cols = predicted
 
 
 def _check_columns(fit, X: DesignMatrix | np.ndarray) -> np.ndarray:
@@ -229,14 +224,7 @@ def binned_labels(scores, binner) -> list[ClassLabel]:
     return [binner(int(round(v))) for v in np.clip(scores, 0.0, 100.0)]
 
 
-def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner) -> BinnedEvaluation:
-    """Accuracy of a continuous metascore fit judged through ternary bins."""
-    if X.n == 0:
-        raise ValueError("empty evaluation set")
-    predicted = binned_labels(predict(fit, X), binner)
-    truths = binned_labels(X.target, binner)
-    confusion = np.zeros((3, 3), dtype=int)
-    for t, p in zip(truths, predicted):
-        confusion[int(t), int(p)] += 1
-    accuracy = float(np.trace(confusion)) / X.n
-    return BinnedEvaluation(accuracy, confusion)
+def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner) -> tuple[np.ndarray, float]:
+    """Confusion matrix (rows = truth, cols = predicted) and accuracy of a
+    continuous metascore fit judged through ternary bins."""
+    return confusion_and_accuracy(binned_labels(predict(fit, X), binner), binned_labels(X.target, binner))

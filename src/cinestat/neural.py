@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_pipeline import ClassLabel
+from .inference import confusion_and_accuracy
 
 DEFAULT_LAYERS = (14, 100, 3)
 
@@ -190,15 +191,11 @@ def mlp_train(model: MlpModel, X, labels, config: TrainConfig | None = None):
 
 
 def mlp_accuracy(model: MlpModel, X, labels) -> float:
-    """Argmax accuracy; probability ties resolve to the lower class index."""
-    y = np.asarray([int(l) for l in labels])
-    if y.size == 0:
-        raise ValueError("empty evaluation set")
-    P = mlp_forward(model, X)
-    predicted = P.argmax(axis=1)  # argmax takes the first maximum
-    return float((predicted == y).mean())
+    """Accuracy of mlp_predict's labels."""
+    return confusion_and_accuracy(mlp_predict(model, X), labels)[1]
 
 
 def mlp_predict(model: MlpModel, X) -> list[ClassLabel]:
+    """Argmax labels; probability ties resolve to the lower class index."""
     P = mlp_forward(model, X)
     return [ClassLabel(int(i)) for i in P.argmax(axis=1)]

@@ -142,7 +142,7 @@ def _ingest(config):
 # column order to one ClassLabel per row.
 
 
-def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
+def _regression_diagnostics(fit, train_dm, val_dm, binner):
     resid = train_dm.target - linear_models.predict(fit, train_dm)
     n, p = train_dm.n, train_dm.p
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((train_dm.target - train_dm.target.mean()) ** 2))
@@ -151,12 +151,8 @@ def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
     dw = inference.durbin_watson(resid)
     jb = inference.jarque_bera(resid)
     lm = inference.breusch_godfrey(resid, train_dm, lags=min(10, n - p - 2))
-    evaluation = linear_models.evaluate_binned(fit, val_dm, binner)
-    rep = inference.RegressionReport(
-        model=name, r2=r2, adjusted_r2=adj_r2, f_test=f_test, durbin_watson=dw,
-        jarque_bera=jb, lagrange_multiplier=lm, accuracy=evaluation.accuracy,
-    )
-    valid, reasons = inference.regression_validity(rep)
+    confusion, accuracy = linear_models.evaluate_binned(fit, val_dm, binner)
+    valid, reasons = inference.regression_validity(f_test, dw, jb, lm)
     return {
         "family": "regression",
         "features": list(train_dm.column_names),
@@ -167,8 +163,8 @@ def _regression_diagnostics(name, fit, train_dm, val_dm, binner):
         "durbin_watson": dw.to_dict(),
         "jarque_bera": jb.to_dict(),
         "lagrange_multiplier": lm.to_dict(),
-        "accuracy": evaluation.accuracy,
-        "confusion": evaluation.confusion,
+        "accuracy": accuracy,
+        "confusion": confusion,
         "validity": {"valid": valid, "reasons": reasons},
     }
 
@@ -196,7 +192,7 @@ def _fit_linear(name, config, train, val, binner, feats=None):
         fit = linear_models.fit_lasso(train_dm, config.lasso_lambda)
     else:
         fit = linear_models.fit_ols(train_dm)
-    row = _regression_diagnostics(name, fit, train_dm, val_dm, binner)
+    row = _regression_diagnostics(fit, train_dm, val_dm, binner)
     if name == "mlr":
         row["vif"] = inference.vif(train_dm)
     if name in ("ridge", "lasso"):
@@ -216,10 +212,13 @@ def _fit_logistic_model(name, config, train, val, binner):
     train_dm = binary_dm(train)
     val_dm = binary_dm(val)
     fit = linear_models.fit_logistic(train_dm)
-    probs = linear_models.predict_proba(fit, val_dm)
-    predicted = (probs >= 0.5).astype(float)
-    accuracy = float((predicted == val_dm.target).mean())
-    auc = inference.roc_auc(probs, val_dm.target.astype(int))
+
+    def predict(X):
+        return [ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP for eta in linear_models.predict(fit, X)]
+
+    truths = [ClassLabel.HIT if y else ClassLabel.FLOP for y in val_dm.target]
+    _, accuracy = inference.confusion_and_accuracy(predict(val_dm), truths)
+    auc = inference.roc_auc(linear_models.predict_proba(fit, val_dm), val_dm.target.astype(int))
     wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []
     row = {
         "family": "logistic",
@@ -230,10 +229,6 @@ def _fit_logistic_model(name, config, train, val, binner):
         "accuracy": accuracy,
         "roc_auc": auc,
     }
-
-    def predict(X):
-        return [ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP for eta in linear_models.predict(fit, X)]
-
     return row, {"wald_table": wald}, predict
 
 
@@ -307,9 +302,7 @@ def _fit_ann(name, config, train, val, binner):
     model = neural.mlp_init(config.seed, (len(feats), 100, 3))
     train_config = neural.TrainConfig(max_epochs=config.mlp_max_epochs)
     trained, trace = neural.mlp_train(model, Xt, yt, train_config)
-    accuracy = neural.mlp_accuracy(trained, Xv, yv)
-    predicted = neural.mlp_predict(trained, Xv)
-    confusion, _ = inference.confusion_and_accuracy(predicted, yv)
+    confusion, accuracy = inference.confusion_and_accuracy(neural.mlp_predict(trained, Xv), yv)
     summary = {
         "attributes": feats,
         "type": "multi-layer perceptron classifier",
@@ -461,13 +454,11 @@ def _evaluate_2020(config, predictors, binner):
     if not len(table):
         raise ValueError("no scored rows in the 2020 holdout")
     truths = [binner(score) for score in table.columns["metascore"].tolist()]
+    # the logistic model is binary: it is judged on hit or not hit
+    hit_or_not = [ClassLabel.HIT if truth == ClassLabel.HIT else ClassLabel.FLOP for truth in truths]
     out = {"substitutions": dict(subs), "n_rows": len(table), "accuracy": {}}
     for name, predictor in predictors.items():
-        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, table), truths) if label is not None]
-        if name == "logistic":
-            # binary model: compare coarsened truth
-            hits = sum((label == ClassLabel.HIT) == (truth == ClassLabel.HIT) for label, truth in scored)
-        else:
-            hits = sum(label == truth for label, truth in scored)
-        out["accuracy"][name] = hits / len(scored) if scored else None
+        model_truths = hit_or_not if name == "logistic" else truths
+        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, table), model_truths) if label is not None]
+        out["accuracy"][name] = inference.confusion_and_accuracy(*zip(*scored))[1] if scored else None
     return out

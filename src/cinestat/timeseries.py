@@ -1,5 +1,5 @@
-"""Monthly metascore series, stationarity/autocorrelation diagnostics,
-classical decomposition, and AIC-driven SARIMAX order selection."""
+"""Monthly metascore series, stationarity/autocorrelation diagnostics and
+AIC-driven SARIMAX order selection."""
 
 from __future__ import annotations
 
@@ -122,28 +122,6 @@ def acf(series, nlags: int) -> np.ndarray:
     return out
 
 
-def pacf(series, nlags: int) -> np.ndarray:
-    """Partial autocorrelations via the Durbin-Levinson recursion."""
-    rho = acf(series, nlags)
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    phi_prev = np.zeros(0)
-    for k in range(1, nlags + 1):
-        if k == 1:
-            rk = rho[1]
-        else:
-            num = rho[k] - float(phi_prev @ rho[k - 1 : 0 : -1])
-            den = 1.0 - float(phi_prev @ rho[1:k])
-            rk = num / den
-        phi = np.empty(k)
-        phi[k - 1] = rk
-        if k > 1:
-            phi[: k - 1] = phi_prev - rk * phi_prev[::-1]
-        out[k] = rk
-        phi_prev = phi
-    return out
-
-
 def _adf_p_value(stat: float) -> float:
     """Interpolate log10 p across the tabulated critical values, with linear
     extrapolation beyond the table, clamped to [1e-6, 0.999]."""
@@ -189,39 +167,6 @@ def adf_test(series, max_lag: int | None = None) -> StatTestResult:
     result.p_value = _adf_p_value(stat)
     result.reject_at_5pct = stat < -2.86
     return result
-
-
-def decompose(series, period: int = SEASONAL_PERIOD):
-    """Additive classical decomposition into (trend, seasonal, residual).
-
-    Trend is a centered moving average (edges NaN); the seasonal component
-    is the re-centered period-position mean of the detrended values.
-    """
-    y = np.asarray(series, dtype=float)
-    n = y.shape[0]
-    if n < 2 * period:
-        raise ValueError("need at least two full periods")
-    half = period // 2
-    trend = np.full(n, np.nan)
-    if period % 2 == 0:
-        weights = np.ones(period + 1)
-        weights[0] = weights[-1] = 0.5
-        weights /= period
-        for t in range(half, n - half):
-            trend[t] = float(weights @ y[t - half : t + half + 1])
-    else:
-        for t in range(half, n - half):
-            trend[t] = float(np.mean(y[t - half : t + half + 1]))
-
-    detrended = y - trend
-    seasonal_means = np.empty(period)
-    for j in range(period):
-        vals = detrended[j::period]
-        seasonal_means[j] = float(np.nanmean(vals))
-    seasonal_means -= seasonal_means.mean()
-    seasonal = np.array([seasonal_means[t % period] for t in range(n)])
-    residual = y - trend - seasonal
-    return trend, seasonal, residual
 
 
 def ljung_box(residuals, lags: int = 10) -> StatTestResult:

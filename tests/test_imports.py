@@ -1,11 +1,14 @@
-"""Every name the package imports is used in the module that imports it."""
+"""Every name the package imports is used in the module that imports it, and
+every function and class it defines is used somewhere in it."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cinestat"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -19,3 +22,39 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _referenced(node) -> set[str]:
+    """Every name, attribute and imported name under ``node``."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+    return names
+
+
+def test_every_function_has_a_caller():
+    # the benchmark's tracer patches module attributes by name, so a function
+    # it wraps must stay even when no stage calls it any more
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {attr for _, attr, _, _ in tracer.TARGETS}
+
+    definitions = []  # (module file, top-level def or class)
+    statements = []  # (module file, top-level statement)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            statements.append((path.name, node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.name, node))
+    orphans = []
+    for module, definition in definitions:
+        callers = [node for node in statements if node != (module, definition)]
+        if definition.name not in traced and not any(definition.name in _referenced(n) for _, n in callers):
+            orphans.append(f"{module}:{definition.name}")
+    assert not orphans, f"defined but never referenced: {orphans}"

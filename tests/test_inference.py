@@ -8,7 +8,6 @@ from scipy import stats
 
 from cinestat.data_pipeline import DesignMatrix
 from cinestat.inference import (
-    RegressionReport,
     StatTestResult,
     breusch_godfrey,
     confusion_and_accuracy,
@@ -368,20 +367,16 @@ class TestConfusionJaccard:
 
 class TestRegressionValidity:
     @staticmethod
-    def _report(jb_p=0.5, lm_p=0.5, f_p=0.001, dw=2.0):
-        return RegressionReport(
-            model="m",
-            r2=0.5,
-            adjusted_r2=0.45,
-            f_test=StatTestResult("f", 10.0, p_value=f_p),
-            durbin_watson=StatTestResult("dw", dw),
-            jarque_bera=StatTestResult("jb", 1.0, p_value=jb_p),
-            lagrange_multiplier=StatTestResult("lm", 1.0, p_value=lm_p),
-            accuracy=0.7,
+    def _results(jb_p=0.5, lm_p=0.5, f_p=0.001, dw=2.0):
+        return (
+            StatTestResult("f", 10.0, p_value=f_p),
+            StatTestResult("dw", dw),
+            StatTestResult("jb", 1.0, p_value=jb_p),
+            StatTestResult("lm", 1.0, p_value=lm_p),
         )
 
     def test_all_pass(self):
-        ok, reasons = regression_validity(self._report())
+        ok, reasons = regression_validity(*self._results())
         assert ok and reasons == []
 
     @pytest.mark.parametrize(
@@ -395,10 +390,10 @@ class TestRegressionValidity:
         ],
     )
     def test_each_rule_fires(self, kwargs, fragment):
-        ok, reasons = regression_validity(self._report(**kwargs))
+        ok, reasons = regression_validity(*self._results(**kwargs))
         assert not ok
         assert any(fragment in r for r in reasons)
 
     def test_multiple_reasons_accumulate(self):
-        ok, reasons = regression_validity(self._report(jb_p=0.0, dw=3.0))
+        ok, reasons = regression_validity(*self._results(jb_p=0.0, dw=3.0))
         assert not ok and len(reasons) == 2

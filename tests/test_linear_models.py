@@ -214,19 +214,19 @@ class TestEvaluateBinned:
         # [0, 100] are clamped before binning
         fit = LinearFit(0.0, ["s"], [1.0])
         X = dm([30.0, 50.0, 70.0], [30.0, 50.0, 70.0], names=["s"])
-        ev = evaluate_binned(fit, X, make_binner(40, 60))
-        assert ev.accuracy == 1.0
-        np.testing.assert_array_equal(np.diag(ev.confusion), [1, 1, 1])
+        confusion, accuracy = evaluate_binned(fit, X, make_binner(40, 60))
+        assert accuracy == 1.0
+        np.testing.assert_array_equal(np.diag(confusion), [1, 1, 1])
 
     def test_clamping(self):
         fit = LinearFit(0.0, ["s"], [2.0])  # doubles the score
         X = dm([80.0], [80.0], names=["s"])  # prediction 160 -> clamp 100 -> HIT
-        ev = evaluate_binned(fit, X, make_binner(40, 60))
-        assert ev.confusion[ClassLabel.HIT, ClassLabel.HIT] == 1
+        confusion, _ = evaluate_binned(fit, X, make_binner(40, 60))
+        assert confusion[ClassLabel.HIT, ClassLabel.HIT] == 1
 
     def test_accuracy_counts(self):
         fit = LinearFit(50.0, ["s"], [0.0])  # always predicts NEUTRAL
         X = dm([10.0, 50.0, 90.0, 45.0], [10.0, 50.0, 90.0, 45.0], names=["s"])
-        ev = evaluate_binned(fit, X, make_binner(40, 60))
-        assert ev.accuracy == pytest.approx(0.5)
-        assert ev.confusion.sum() == 4
+        confusion, accuracy = evaluate_binned(fit, X, make_binner(40, 60))
+        assert accuracy == pytest.approx(0.5)
+        assert confusion.sum() == 4

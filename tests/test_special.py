@@ -3,7 +3,7 @@ import pytest
 from scipy import special as sps
 from scipy import stats
 
-from cinestat.special import betainc, chi2_sf, f_sf, gammainc_lower, gammainc_upper
+from cinestat.special import betainc, chi2_sf, f_sf, gammainc_upper
 
 
 # scipy provides the independent series/continued-fraction reference here;
@@ -16,7 +16,6 @@ GRID_X = [0.01, 0.3, 1.0, 4.0, 15.0, 80.0]
 @pytest.mark.parametrize("a", GRID_A)
 @pytest.mark.parametrize("x", GRID_X)
 def test_incomplete_gamma_matches_reference(a, x):
-    assert gammainc_lower(a, x) == pytest.approx(sps.gammainc(a, x), abs=1e-12)
     assert gammainc_upper(a, x) == pytest.approx(sps.gammaincc(a, x), abs=1e-12)
 
 
@@ -49,6 +48,8 @@ def test_edge_cases():
     assert betainc(2.0, 3.0, 0.0) == 0.0
     assert betainc(2.0, 3.0, 1.0) == 1.0
     with pytest.raises(ValueError):
-        gammainc_lower(-1.0, 1.0)
+        gammainc_upper(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        gammainc_upper(1.0, -1.0)
     with pytest.raises(ValueError):
         betainc(1.0, 1.0, 1.5)

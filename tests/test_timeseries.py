@@ -28,11 +28,9 @@ from cinestat.timeseries import (
     acf,
     adf_test,
     aggregate_monthly,
-    decompose,
     forecast,
     future_months,
     ljung_box,
-    pacf,
     sarimax_grid_search,
 )
 
@@ -576,22 +574,6 @@ class TestAcfPacf:
         rho = acf(y, 10)
         np.testing.assert_allclose(rho, full[:11] / full[0], atol=1e-12)
 
-    def test_pacf_matches_yule_walker_solve(self):
-        y = ar1_series(phi=0.6, n=300, seed=71)
-        rho = acf(y, 6)
-        ours = pacf(y, 6)
-        from scipy.linalg import toeplitz
-
-        for k in range(1, 7):
-            phi = np.linalg.solve(toeplitz(rho[:k]), rho[1 : k + 1])
-            assert ours[k] == pytest.approx(phi[-1], abs=1e-10)
-
-    def test_pacf_ar1_cuts_off(self):
-        y = ar1_series(phi=0.7, n=2000, seed=73)
-        out = pacf(y, 5)
-        assert out[1] == pytest.approx(0.7, abs=0.05)
-        assert np.all(np.abs(out[2:]) < 0.08)
-
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
             acf([1.0, 1.0, 1.0], 1)
@@ -629,36 +611,6 @@ class TestAdf:
     def test_too_short(self):
         with pytest.raises(ValueError):
             adf_test(np.arange(10.0))
-
-
-class TestDecompose:
-    def test_recovers_known_components(self):
-        n, period = 72, 12
-        trend_true = 0.5 * np.arange(n) + 10.0
-        seasonal_pattern = np.sin(2 * np.pi * np.arange(period) / period) * 3.0
-        seasonal_pattern -= seasonal_pattern.mean()
-        y = trend_true + np.tile(seasonal_pattern, n // period)
-        trend, seasonal, residual = decompose(y, period)
-        interior = slice(period, n - period)
-        np.testing.assert_allclose(trend[interior], trend_true[interior], atol=1e-8)
-        np.testing.assert_allclose(seasonal[:period], seasonal_pattern, atol=1e-8)
-        np.testing.assert_allclose(residual[interior], 0.0, atol=1e-8)
-
-    def test_edges_are_nan(self):
-        y = np.arange(48.0)
-        trend, _, residual = decompose(y, 12)
-        assert np.all(np.isnan(trend[:6])) and np.all(np.isnan(trend[-6:]))
-        assert np.all(np.isnan(residual[:6]))
-
-    def test_seasonal_sums_to_zero(self):
-        rng = np.random.default_rng(97)
-        y = rng.normal(size=60)
-        _, seasonal, _ = decompose(y, 12)
-        assert abs(seasonal[:12].sum()) < 1e-10
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            decompose(np.arange(20.0), 12)
 
 
 class TestLjungBox:
