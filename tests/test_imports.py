@@ -45,16 +45,15 @@ def test_every_function_has_a_caller():
     spec.loader.exec_module(tracer)
     traced = {attr for _, attr, _, _ in tracer.TARGETS}
 
-    definitions = []  # (module file, top-level def or class)
-    statements = []  # (module file, top-level statement)
+    statements = []  # (module file, top-level statement, names it references)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append((path.name, node))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.name, node))
-    orphans = []
-    for module, definition in definitions:
-        callers = [node for node in statements if node != (module, definition)]
-        if definition.name not in traced and not any(definition.name in _referenced(n) for _, n in callers):
-            orphans.append(f"{module}:{definition.name}")
+            statements.append((path.name, node, _referenced(node)))
+    orphans = [
+        f"{module}:{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in traced
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
     assert not orphans, f"defined but never referenced: {orphans}"
