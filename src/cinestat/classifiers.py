@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_pipeline import ClassLabel
-
 KMEANS_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
 DEFAULT_SEED = 0
@@ -18,9 +16,8 @@ DEFAULT_SEED = 0
 class KMeansModel:
     centroids: np.ndarray
     inertia: float
-    seed: int
     assignments: np.ndarray  # training-point cluster indices
-    cluster_to_class: dict[int, ClassLabel] = field(default_factory=dict)
+    cluster_to_class: np.ndarray | None = None  # class label per cluster, set by kmeans_classify
 
 
 @dataclass
@@ -98,35 +95,28 @@ def kmeans_fit(X, k: int, seed: int = DEFAULT_SEED, restarts: int = DEFAULT_REST
         if best is None or inertia < best[0]:
             best = (inertia, centroids, assignments)
     inertia, centroids, assignments = best
-    return KMeansModel(centroids=centroids, inertia=inertia, seed=seed, assignments=assignments)
+    return KMeansModel(centroids=centroids, inertia=inertia, assignments=assignments)
 
 
-def kmeans_classify(model: KMeansModel, train_labels, X_test) -> list[ClassLabel]:
+def kmeans_classify(model: KMeansModel, train_labels, X_test) -> np.ndarray:
     """Label clusters by training-label majority vote, then classify test
-    points by nearest centroid.  Vote ties go to the lower class."""
-    train_labels = list(train_labels)
+    points by nearest centroid.  Vote ties, and clusters without a training
+    point, go to the lower class."""
+    train_labels = np.asarray(train_labels, dtype=int)
     if len(train_labels) != len(model.assignments):
         raise ValueError("training labels must align with the fitted assignments")
-    k = model.centroids.shape[0]
-    mapping: dict[int, ClassLabel] = {}
-    for j in range(k):
-        members = [train_labels[i] for i in range(len(train_labels)) if model.assignments[i] == j]
-        if not members:
-            mapping[j] = ClassLabel.FLOP
-            continue
-        counts = {lab: members.count(lab) for lab in ClassLabel}
-        top = max(counts.values())
-        mapping[j] = min(lab for lab, c in counts.items() if c == top)
-    model.cluster_to_class = mapping
-    assert all(j in mapping for j in range(k))
+    model.cluster_to_class = np.array([
+        np.bincount(train_labels[model.assignments == j], minlength=3).argmax()
+        for j in range(model.centroids.shape[0])
+    ])
     return kmeans_predict(model, X_test)
 
 
-def kmeans_predict(model: KMeansModel, X) -> list[ClassLabel]:
+def kmeans_predict(model: KMeansModel, X) -> np.ndarray:
     """Class of each point's nearest centroid, by the mapping that
     kmeans_classify set."""
     idx, _ = _assign(np.asarray(X, dtype=float), model.centroids)
-    return [model.cluster_to_class[int(j)] for j in idx]
+    return model.cluster_to_class[idx]
 
 
 def _ordinal_objective(X, y, w, b, C) -> float:
@@ -154,7 +144,7 @@ def ordinal_svm_fit(
     objective of the running average is recorded in objective_trace.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray([int(l) for l in labels])
+    y = np.asarray(labels, dtype=int)
     if C <= 0:
         raise ValueError("C must be positive")
     present = set(y.tolist())
@@ -221,10 +211,9 @@ def ordinal_svm_fit(
     return OrdinalSvmModel(feature_names, avg_w, b1, b2, C, objective_trace=trace)
 
 
-def ordinal_svm_predict(model: OrdinalSvmModel, X) -> list[ClassLabel]:
+def ordinal_svm_predict(model: OrdinalSvmModel, X) -> np.ndarray:
     """Flop below b1, Neutral in [b1, b2), Hit from b2 up."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.weights.shape[0]:
         raise ValueError("column mismatch")
-    idx = np.searchsorted([model.b1, model.b2], X @ model.weights, side="right")
-    return [ClassLabel(int(k)) for k in idx]
+    return np.searchsorted([model.b1, model.b2], X @ model.weights, side="right")

@@ -37,6 +37,11 @@ SVM_FEATURES_2020 = ["avg_vote", "Action", "Crime", "Drama", "Fantasy", "Mystery
 
 ALL_MODELS = ("slr", "mlr", "logistic", "ridge", "lasso", "kmeans", "svm", "ann")
 
+# Fields that count rows, restarts, epochs or evaluations: each must be >= 1.
+COUNT_FIELDS = (
+    "per_movie_rows", "kmeans_restarts", "svm_epochs", "mlp_max_epochs", "sarimax_max_evaluations",
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -82,6 +87,10 @@ class RunConfig:
             raise ConfigError(f"bin thresholds {list(self.bin_thresholds)}: {exc}") from exc
         if self.forecast_horizon < 0:
             raise ConfigError("forecast horizon must be non-negative")
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         non_numeric = {
             target: source for target, source in self.test_2020_substitutions.items()
             if target not in NUMERIC_FIELDS or source not in NUMERIC_FIELDS

@@ -45,9 +45,9 @@ class ClassLabel(enum.IntEnum):
     NEUTRAL = 1
     HIT = 2
 
-    @property
-    def short(self) -> str:
-        return {ClassLabel.FLOP: "F", ClassLabel.NEUTRAL: "N", ClassLabel.HIT: "H"}[self]
+
+# The report's letter for each class label, indexed by the label.
+LABEL_LETTERS = "FNH"
 
 
 @dataclass
@@ -94,7 +94,6 @@ class DesignMatrix:
     column_names: list[str]
     values: np.ndarray
     target: np.ndarray
-    target_name: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -301,18 +300,20 @@ def _read_rows(reader, width: int, positions: list[int | None]) -> LoadResult:
 
 
 def make_binner(flop_upper: int, neutral_upper: int):
-    """Ternary binner with configurable cutoffs, boundaries in the upper bin."""
+    """Ternary binner with configurable cutoffs, boundaries in the upper bin.
+
+    The binner maps a score, or an array of scores, to ClassLabel ints.
+    """
     if not 0 < flop_upper < neutral_upper <= 100:
         raise ValueError("thresholds must satisfy 0 < flop < neutral <= 100")
+    cutoffs = [flop_upper, neutral_upper]
 
-    def binner(score: int) -> ClassLabel:
-        if not 0 <= score <= 100:
-            raise ValueError(f"metascore {score} out of [0, 100]")
-        if score < flop_upper:
-            return ClassLabel.FLOP
-        if score < neutral_upper:
-            return ClassLabel.NEUTRAL
-        return ClassLabel.HIT
+    def binner(scores) -> np.ndarray:
+        scores = np.asarray(scores, dtype=float)
+        outside = ~((0 <= scores) & (scores <= 100))  # NaN included
+        if outside.any():
+            raise ValueError(f"metascore {scores[outside].flat[0]} out of [0, 100]")
+        return np.searchsorted(cutoffs, scores, side="right")
 
     return binner
 
@@ -366,4 +367,4 @@ def build_design_matrix(
         raise ValueError("zero surviving rows after complete-case filtering")
     # contiguous copies: strided views can take other BLAS kernels, which sum
     # in another order
-    return DesignMatrix(list(feature_names), values[:, :-1].copy(), values[:, -1].copy(), target_name)
+    return DesignMatrix(list(feature_names), values[:, :-1].copy(), values[:, -1].copy())

@@ -226,16 +226,17 @@ def roc_auc(scores, binary_labels) -> float:
 
 def confusion_and_accuracy(predicted, truth) -> tuple[np.ndarray, float]:
     """3x3 confusion matrix (rows = truth, cols = predicted) and trace accuracy."""
-    predicted = list(predicted)
-    truth = list(truth)
-    if len(predicted) != len(truth):
+    predicted = np.asarray(predicted, dtype=int)
+    truth = np.asarray(truth, dtype=int)
+    if predicted.shape != truth.shape:
         raise ValueError("length mismatch")
-    if not predicted:
+    if not truth.size:
         raise ValueError("empty input")
-    confusion = np.zeros((3, 3), dtype=int)
-    for t, p in zip(truth, predicted):
-        confusion[int(t), int(p)] += 1
-    return confusion, float(np.trace(confusion)) / len(truth)
+    # a label outside {0, 1, 2} would land in another label's cell
+    if not (np.isin(predicted, (0, 1, 2)) & np.isin(truth, (0, 1, 2))).all():
+        raise ValueError("labels must lie in {0, 1, 2}")
+    confusion = np.bincount(3 * truth + predicted, minlength=9).reshape(3, 3)
+    return confusion, float(np.trace(confusion)) / truth.size
 
 
 def jaccard(set_a, set_b) -> float:

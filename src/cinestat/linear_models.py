@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_pipeline import ClassLabel, DesignMatrix
+from .data_pipeline import DesignMatrix
 from .inference import confusion_and_accuracy
 from .numerics import cholesky_solve, least_squares
 
@@ -24,7 +24,6 @@ class LinearFit:
     coefficients: np.ndarray
     lam: float = 0.0
     penalty: str = "none"  # none | L2 | L1
-    n_train: int = 0
     converged: bool = True
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ def fit_ols(X: DesignMatrix) -> LinearFit:
         raise ValueError(f"need n > p+1, got n={n}, p={p}")
     Z = np.column_stack([np.ones(n), X.values])
     beta = least_squares(Z, X.target)
-    return LinearFit(float(beta[0]), X.column_names, beta[1:], n_train=n)
+    return LinearFit(float(beta[0]), X.column_names, beta[1:])
 
 
 def fit_ridge(X: DesignMatrix, lam: float) -> LinearFit:
@@ -88,7 +87,7 @@ def fit_ridge(X: DesignMatrix, lam: float) -> LinearFit:
     A = Xc.T @ Xc + lam * np.eye(X.p)
     beta = cholesky_solve(A, Xc.T @ yc)
     intercept = y_mean - float(x_mean @ beta)
-    return LinearFit(intercept, X.column_names, beta, lam=lam, penalty="L2", n_train=X.n)
+    return LinearFit(intercept, X.column_names, beta, lam=lam, penalty="L2")
 
 
 def _lasso_objective(Xs, yc, beta, lam, n):
@@ -139,10 +138,7 @@ def fit_lasso(X: DesignMatrix, lam: float) -> LinearFit:
     beta_orig = beta / scale
     beta_orig[~active] = 0.0
     intercept = y_mean - float(x_mean @ beta_orig)
-    return LinearFit(
-        intercept, X.column_names, beta_orig, lam=lam, penalty="L1", n_train=n,
-        converged=converged,
-    )
+    return LinearFit(intercept, X.column_names, beta_orig, lam=lam, penalty="L1", converged=converged)
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -219,9 +215,10 @@ def predict_proba(fit: LogisticFit, X) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-eta))
 
 
-def binned_labels(scores, binner) -> list[ClassLabel]:
-    """Ternary labels of continuous metascores: clamp to [0, 100], round, bin."""
-    return [binner(int(round(v))) for v in np.clip(scores, 0.0, 100.0)]
+def binned_labels(scores, binner) -> np.ndarray:
+    """Ternary labels of continuous metascores: clamp to [0, 100], round half
+    to even, bin."""
+    return binner(np.round(np.clip(scores, 0, 100)))
 
 
 def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner) -> tuple[np.ndarray, float]:

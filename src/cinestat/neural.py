@@ -8,10 +8,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_pipeline import ClassLabel
 from .inference import confusion_and_accuracy
 
 DEFAULT_LAYERS = (14, 100, 3)
+
+# Adam and early-stopping settings
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+BATCH_SIZE = 32
+VALIDATION_FRACTION = 0.1
+PATIENCE = 10
+TOL = 1e-4
 
 
 @dataclass
@@ -25,26 +34,6 @@ class MlpModel:
 
     def parameters(self):
         return [self.W1, self.b1, self.W2, self.b2]
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 500
-    early_stopping: bool = True
-    validation_fraction: float = 0.1
-    patience: int = 10
-    tol: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must lie in (0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 @dataclass
@@ -89,11 +78,8 @@ def mlp_forward(model: MlpModel, X) -> np.ndarray:
     return _softmax(hidden @ model.W2 + model.b2)
 
 
-def one_hot(labels, n_classes: int = 3) -> np.ndarray:
-    y = np.asarray([int(l) for l in labels])
-    out = np.zeros((y.size, n_classes))
-    out[np.arange(y.size), y] = 1.0
-    return out
+def one_hot(labels) -> np.ndarray:
+    return np.eye(3)[np.asarray(labels, dtype=int)]
 
 
 def mlp_loss(model: MlpModel, X, onehot_labels) -> float:
@@ -122,13 +108,12 @@ def mlp_gradients(model: MlpModel, X, onehot_labels):
     return [gW1, gb1, gW2, gb2]
 
 
-def mlp_train(model: MlpModel, X, labels, config: TrainConfig | None = None):
+def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
     """Adam training with a deterministic per-epoch shuffle and early stopping
     on a held-out validation score (negative cross-entropy); returns
     (trained model, trace)."""
-    config = config or TrainConfig()
     X = np.asarray(X, dtype=float)
-    y = np.asarray([int(l) for l in labels])
+    y = np.asarray(labels, dtype=int)
     n = X.shape[0]
     if n < 50:
         raise ValueError("need at least 50 training samples")
@@ -136,7 +121,7 @@ def mlp_train(model: MlpModel, X, labels, config: TrainConfig | None = None):
 
     split_rng = np.random.default_rng(model.seed)
     order = split_rng.permutation(n)
-    n_val = max(1, int(round(config.validation_fraction * n)))
+    n_val = max(1, int(round(VALIDATION_FRACTION * n)))
     train_idx, val_idx = order[:-n_val], order[-n_val:]
     Xt, yt = X[train_idx], y[train_idx]
     Xv, yv = X[val_idx], y[val_idx]
@@ -150,20 +135,20 @@ def mlp_train(model: MlpModel, X, labels, config: TrainConfig | None = None):
     best_params = None
     stall = 0
 
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         shuffle = np.random.default_rng(np.random.SeedSequence([model.seed, epoch]))
         idx = shuffle.permutation(len(Xt))
-        for start in range(0, len(Xt), config.batch_size):
-            batch = idx[start : start + config.batch_size]
+        for start in range(0, len(Xt), BATCH_SIZE):
+            batch = idx[start : start + BATCH_SIZE]
             grads = mlp_gradients(model, Xt[batch], Yt[batch])
             t += 1
             params = model.parameters()
             for k, g in enumerate(grads):
-                m[k] = config.beta1 * m[k] + (1 - config.beta1) * g
-                v[k] = config.beta2 * v[k] + (1 - config.beta2) * g * g
-                m_hat = m[k] / (1 - config.beta1**t)
-                v_hat = v[k] / (1 - config.beta2**t)
-                params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                m[k] = BETA1 * m[k] + (1 - BETA1) * g
+                v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
+                m_hat = m[k] / (1 - BETA1**t)
+                v_hat = v[k] / (1 - BETA2**t)
+                params[k] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
 
         loss = mlp_loss(model, Xt, Yt)
         trace.losses.append(loss)
@@ -172,19 +157,18 @@ def mlp_train(model: MlpModel, X, labels, config: TrainConfig | None = None):
             trace.diverged = True
             break
 
-        if config.early_stopping:
-            # negative validation loss: smoother than accuracy on small holdouts
-            score = -mlp_loss(model, Xv, one_hot(yv))
-            if score > best_score + config.tol:
-                best_score = score
-                best_params = [p.copy() for p in model.parameters()]
-                stall = 0
-            else:
-                stall += 1
-            if stall >= config.patience:
-                break
+        # negative validation loss: smoother than accuracy on small holdouts
+        score = -mlp_loss(model, Xv, one_hot(yv))
+        if score > best_score + TOL:
+            best_score = score
+            best_params = [p.copy() for p in model.parameters()]
+            stall = 0
+        else:
+            stall += 1
+        if stall >= PATIENCE:
+            break
 
-    if config.early_stopping and best_params is not None:
+    if best_params is not None:
         model.W1, model.b1, model.W2, model.b2 = best_params
         trace.best_validation_score = best_score
     return model, trace
@@ -195,7 +179,6 @@ def mlp_accuracy(model: MlpModel, X, labels) -> float:
     return confusion_and_accuracy(mlp_predict(model, X), labels)[1]
 
 
-def mlp_predict(model: MlpModel, X) -> list[ClassLabel]:
+def mlp_predict(model: MlpModel, X) -> np.ndarray:
     """Argmax labels; probability ties resolve to the lower class index."""
-    P = mlp_forward(model, X)
-    return [ClassLabel(int(i)) for i in P.argmax(axis=1)]
+    return mlp_forward(model, X).argmax(axis=1)

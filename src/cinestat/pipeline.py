@@ -11,6 +11,7 @@ import numpy as np
 from . import classifiers, inference, linear_models, neural, timeseries
 from .config import RunConfig
 from .data_pipeline import (
+    LABEL_LETTERS,
     ClassLabel,
     DesignMatrix,
     MovieTable,
@@ -139,7 +140,7 @@ def _ingest(config):
 # --------------------------------------------------------------------------
 # model stages: each returns (report row, other top-level report entries,
 # predict), where predict maps a feature matrix in the row's "features"
-# column order to one ClassLabel per row.
+# column order to an int array of ClassLabel values, one per row.
 
 
 def _regression_diagnostics(fit, train_dm, val_dm, binner):
@@ -202,21 +203,19 @@ def _fit_linear(name, config, train, val, binner, feats=None):
 
 def _fit_logistic_model(name, config, train, val, binner):
     feats = config.features[name]
-    cutoff = config.bin_thresholds[1]
 
     def binary_dm(records):
         dm = build_design_matrix(records, feats, "metascore")
-        target = np.array([1.0 if s >= cutoff else 0.0 for s in dm.target])
-        return DesignMatrix(dm.column_names, dm.values, target, "success")
+        return DesignMatrix(dm.column_names, dm.values, binner(dm.target) == ClassLabel.HIT)
 
     train_dm = binary_dm(train)
     val_dm = binary_dm(val)
     fit = linear_models.fit_logistic(train_dm)
 
     def predict(X):
-        return [ClassLabel.HIT if eta >= 0 else ClassLabel.FLOP for eta in linear_models.predict(fit, X)]
+        return np.where(linear_models.predict(fit, X) >= 0, ClassLabel.HIT, ClassLabel.FLOP)
 
-    truths = [ClassLabel.HIT if y else ClassLabel.FLOP for y in val_dm.target]
+    truths = np.where(val_dm.target == 1, ClassLabel.HIT, ClassLabel.FLOP)
     _, accuracy = inference.confusion_and_accuracy(predict(val_dm), truths)
     auc = inference.roc_auc(linear_models.predict_proba(fit, val_dm), val_dm.target.astype(int))
     wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []
@@ -244,10 +243,7 @@ def _scaled_split(feats, train, val, binner):
     def scale(X):
         return (X - mean) / std
 
-    def labels(dm):
-        return [binner(int(s)) for s in dm.target]
-
-    return scale, scale(train_dm.values), labels(train_dm), scale(val_dm.values), labels(val_dm)
+    return scale, scale(train_dm.values), binner(train_dm.target), scale(val_dm.values), binner(val_dm.target)
 
 
 def _fit_kmeans(name, config, train, val, binner):
@@ -263,7 +259,7 @@ def _fit_kmeans(name, config, train, val, binner):
         "confusion": confusion,
         "silhouette": _predicted_silhouette(Xv, predicted),
         "inertia": model.inertia,
-        "cluster_to_class": {str(k): v.short for k, v in model.cluster_to_class.items()},
+        "cluster_to_class": {str(j): LABEL_LETTERS[c] for j, c in enumerate(model.cluster_to_class)},
     }
     return row, {}, lambda X: classifiers.kmeans_predict(model, scale(X))
 
@@ -290,7 +286,7 @@ def _fit_svm(name, config, train, val, binner):
 
 def _predicted_silhouette(X, predicted_labels):
     """Silhouette over predicted-class groupings; None when degenerate."""
-    labels = np.asarray([int(l) for l in predicted_labels])
+    labels = np.asarray(predicted_labels, dtype=int)
     if np.unique(labels).size < 2:
         return None
     return inference.silhouette(X, labels)
@@ -300,8 +296,7 @@ def _fit_ann(name, config, train, val, binner):
     feats = config.features[name]
     scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
     model = neural.mlp_init(config.seed, (len(feats), 100, 3))
-    train_config = neural.TrainConfig(max_epochs=config.mlp_max_epochs)
-    trained, trace = neural.mlp_train(model, Xt, yt, train_config)
+    trained, trace = neural.mlp_train(model, Xt, yt, config.mlp_max_epochs)
     confusion, accuracy = inference.confusion_and_accuracy(neural.mlp_predict(trained, Xv), yv)
     summary = {
         "attributes": feats,
@@ -310,8 +305,8 @@ def _fit_ann(name, config, train, val, binner):
         "output_type": "ternary",
         "activation": "logistic",
         "optimizer": "adam",
-        "early_stopping": train_config.early_stopping,
-        "validation_fraction": train_config.validation_fraction,
+        "early_stopping": True,
+        "validation_fraction": neural.VALIDATION_FRACTION,
         "n_training_examples": len(Xt),
         "initial_loss": trace.losses[0] if trace.losses else None,
         "final_loss": trace.losses[-1] if trace.losses else None,
@@ -413,15 +408,12 @@ def _timeseries_section(config, table):
 # predictions on held-out records
 
 
-def predict_labels(predictor, table: MovieTable) -> list[ClassLabel | None]:
-    """One vectorized predict over the table's complete-case rows; None for a
-    row that lacks one of the model's numeric features."""
+def predict_labels(predictor, table: MovieTable) -> tuple[list[int], np.ndarray]:
+    """The indices of the table rows that carry every numeric feature of the
+    model, and one vectorized predict over those rows."""
     feats, predict = predictor
     X, kept = feature_rows(table, feats)
-    labels = [None] * len(table)
-    for i, label in zip(kept, predict(X)):
-        labels[i] = label
-    return labels
+    return kept, predict(X)
 
 
 def predict_movies(predictors, table: MovieTable, binner, limit: int) -> list[dict]:
@@ -432,13 +424,14 @@ def predict_movies(predictors, table: MovieTable, binner, limit: int) -> list[di
     recent = scored.take(order[:limit])
     if not len(recent):
         raise ValueError("no scorable movies")
-    rows = [
-        {"movie": title, "truth": binner(score).short}
-        for title, score in zip(recent.title, recent.columns["metascore"].tolist())
-    ]
+    truths = binner(recent.columns["metascore"])
+    rows = [{"movie": title, "truth": LABEL_LETTERS[truth]} for title, truth in zip(recent.title, truths)]
     for name in sorted(predictors):
-        for row, label in zip(rows, predict_labels(predictors[name], recent)):
-            row[name] = label.short if label is not None else "-"
+        kept, labels = predict_labels(predictors[name], recent)
+        for row in rows:
+            row[name] = "-"
+        for i, label in zip(kept, labels):
+            rows[i][name] = LABEL_LETTERS[label]
     return rows
 
 
@@ -453,12 +446,12 @@ def _evaluate_2020(config, predictors, binner):
     table = dataclasses.replace(table, columns={**table.columns, **columns})
     if not len(table):
         raise ValueError("no scored rows in the 2020 holdout")
-    truths = [binner(score) for score in table.columns["metascore"].tolist()]
+    truths = binner(table.columns["metascore"])
     # the logistic model is binary: it is judged on hit or not hit
-    hit_or_not = [ClassLabel.HIT if truth == ClassLabel.HIT else ClassLabel.FLOP for truth in truths]
+    hit_or_not = np.where(truths == ClassLabel.HIT, ClassLabel.HIT, ClassLabel.FLOP)
     out = {"substitutions": dict(subs), "n_rows": len(table), "accuracy": {}}
     for name, predictor in predictors.items():
-        model_truths = hit_or_not if name == "logistic" else truths
-        scored = [(label, truth) for label, truth in zip(predict_labels(predictor, table), model_truths) if label is not None]
-        out["accuracy"][name] = inference.confusion_and_accuracy(*zip(*scored))[1] if scored else None
+        kept, labels = predict_labels(predictor, table)
+        model_truths = (hit_or_not if name == "logistic" else truths)[kept]
+        out["accuracy"][name] = inference.confusion_and_accuracy(labels, model_truths)[1] if kept else None
     return out

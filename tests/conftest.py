@@ -37,8 +37,3 @@ def pipeline_runs(fixture_csv):
         elapsed = time.monotonic() - start
         results.append((report, report_json(report), elapsed))
     return results
-
-
-@pytest.fixture(scope="session")
-def fixture_report(pipeline_runs) -> dict:
-    return pipeline_runs[0][0]

@@ -45,7 +45,7 @@ def _criterion(number: int, name: str, ok: bool, detail: str = ""):
 def _dm(values, target):
     values = np.asarray(values, dtype=float)
     names = [f"x{j}" for j in range(values.shape[1])]
-    return DesignMatrix(names, values, np.asarray(target, dtype=float), "y")
+    return DesignMatrix(names, values, np.asarray(target, dtype=float))
 
 
 def test_criterion_01_ols_oracle_equivalence():
@@ -268,7 +268,7 @@ def test_criterion_08_classifier_sanity():
     truth = [ClassLabel(i) for i in range(3) for _ in range(40)]
     model = kmeans_fit(X, 3, seed=0)
     preds = kmeans_classify(model, truth, X)
-    purity = sum(p is t for p, t in zip(preds, truth)) / len(truth)
+    purity = sum(p == t for p, t in zip(preds, truth)) / len(truth)
     sil = silhouette(X, [int(p) for p in preds])
 
     # 1-D separable ordinal fixture
@@ -276,7 +276,7 @@ def test_criterion_08_classifier_sanity():
     labels = [ClassLabel(i) for i in range(3) for _ in range(40)]
     svm = ordinal_svm_fit(x.reshape(-1, 1), labels, C=1.0, epochs=200, seed=0)
     svm_preds = ordinal_svm_predict(svm, x.reshape(-1, 1))
-    svm_acc = sum(p is t for p, t in zip(svm_preds, labels)) / len(labels)
+    svm_acc = sum(p == t for p, t in zip(svm_preds, labels)) / len(labels)
     ok = purity > 0.99 and sil > 0.9 and svm_acc == 1.0 and svm.b1 < svm.b2
     _criterion(
         8, "K-means and ordinal-SVM sanity", ok,

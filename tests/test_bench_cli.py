@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, forecast_horizon=-3)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["per_movie_rows", "kmeans_restarts", "svm_epochs", "mlp_max_epochs", "sarimax_max_evaluations"],
+    )
+    @pytest.mark.parametrize("value", [0, -3, True, 2.0])
+    def test_count_below_one_or_not_int(self, fixture_csv, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, **{field: value})
+
     @pytest.mark.parametrize("subs", [{"Drama": "avg_vote"}, {"avg_vote": "Drama"}])
     def test_non_numeric_substitution(self, fixture_csv, subs):
         with pytest.raises(ConfigError):
@@ -206,6 +215,11 @@ class TestCli:
     def test_non_numeric_substitution_exit_2(self, fixture_csv, tmp_path, capsys):
         cfg = small_config_dict(fixture_csv, test_2020=fixture_csv, test_2020_substitutions={"Drama": "avg_vote"})
         cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_zero_count_exit_2(self, fixture_csv, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, kmeans_restarts=0))
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 

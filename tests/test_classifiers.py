@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,21 +76,32 @@ class TestKMeansClassify:
         X, labels, _ = three_blobs(seed=5)
         model = kmeans_fit(X, k=3, seed=0)
         preds = kmeans_classify(model, labels, X)
-        correct = sum(p is t for p, t in zip(preds, labels))
+        correct = sum(p == t for p, t in zip(preds, labels))
         assert correct / len(labels) > 0.95
-        assert set(model.cluster_to_class) == {0, 1, 2}
+        # each of the 3 clusters has a class, a different one for each blob
+        assert sorted(model.cluster_to_class.tolist()) == [0, 1, 2]
 
     def test_tie_goes_to_lower_class(self):
         # one cluster, evenly split between NEUTRAL and HIT -> FLOP absent,
         # min of the tied pair is NEUTRAL
         X = np.zeros((4, 1))
         model = KMeansModel(
-            centroids=np.zeros((1, 1)), inertia=0.0, seed=0,
+            centroids=np.zeros((1, 1)), inertia=0.0,
             assignments=np.zeros(4, dtype=int),
         )
         labels = [ClassLabel.NEUTRAL, ClassLabel.HIT, ClassLabel.NEUTRAL, ClassLabel.HIT]
         preds = kmeans_classify(model, labels, X)
-        assert preds == [ClassLabel.NEUTRAL] * 4
+        assert preds.tolist() == [ClassLabel.NEUTRAL] * 4
+
+    def test_cluster_without_training_member_maps_to_flop(self):
+        X = np.array([[0.0], [0.2], [10.0], [10.2]])
+        model = kmeans_fit(X, k=2, seed=0)
+        near, far = model.assignments[0], model.assignments[2]
+        # every training point sits in the first point's cluster
+        model = dataclasses.replace(model, assignments=np.full(4, near))
+        preds = kmeans_classify(model, [ClassLabel.HIT] * 4, X)
+        assert model.cluster_to_class[far] == ClassLabel.FLOP
+        assert [int(p) for p in preds] == [ClassLabel.HIT] * 2 + [ClassLabel.FLOP] * 2
 
     def test_label_length_mismatch(self):
         X, labels, _ = three_blobs(seed=6)
@@ -102,7 +115,7 @@ class TestKMeansClassify:
         kmeans_classify(model, labels, X)
         # probe points sitting exactly on the true centers
         preds = kmeans_classify(model, labels, centers)
-        assert preds == [ClassLabel.FLOP, ClassLabel.NEUTRAL, ClassLabel.HIT]
+        assert preds.tolist() == [ClassLabel.FLOP, ClassLabel.NEUTRAL, ClassLabel.HIT]
 
 
 def ordinal_data(seed=0, n=150, noise=0.1):
@@ -121,7 +134,7 @@ class TestOrdinalSvm:
         model = ordinal_svm_fit(X, labels, C=1.0, epochs=80, seed=0)
         assert model.b1 < model.b2
         preds = ordinal_svm_predict(model, X)
-        acc = sum(p is t for p, t in zip(preds, labels)) / len(labels)
+        acc = sum(p == t for p, t in zip(preds, labels)) / len(labels)
         assert acc > 0.85
 
     def test_deterministic(self):
@@ -150,7 +163,7 @@ class TestOrdinalSvm:
     def test_prediction_rule(self):
         model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)
         preds = ordinal_svm_predict(model, [[-2.0], [0.0], [2.0]])
-        assert preds == [ClassLabel.FLOP, ClassLabel.NEUTRAL, ClassLabel.HIT]
+        assert preds.tolist() == [ClassLabel.FLOP, ClassLabel.NEUTRAL, ClassLabel.HIT]
 
     def test_boundary_inclusive_on_upper_side(self):
         model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)

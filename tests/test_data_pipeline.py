@@ -153,7 +153,7 @@ class TestBinning:
          (60, ClassLabel.HIT), (75, ClassLabel.HIT), (100, ClassLabel.HIT)],
     )
     def test_bin_metascore(self, score, label):
-        assert self.binner(score) is label
+        assert self.binner(score) == label
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ class TestBinning:
 
     @pytest.mark.parametrize("score,expected", [(60, True), (59, False), (0, False)])
     def test_binarize_success(self, score, expected):
-        assert (self.binner(score) is ClassLabel.HIT) is expected
+        assert (self.binner(score) == ClassLabel.HIT) == expected
 
     @given(st.integers(0, 100), st.integers(0, 100))
     def test_bin_monotone(self, s1, s2):
@@ -172,13 +172,13 @@ class TestBinning:
 
     @given(st.integers(0, 100))
     def test_binary_is_coarsening_of_ternary(self, s):
-        assert (s >= 60) == (self.binner(s) is ClassLabel.HIT)
+        assert (s >= 60) == (self.binner(s) == ClassLabel.HIT)
 
     def test_custom_binner(self):
         binner = make_binner(30, 70)
-        assert binner(30) is ClassLabel.NEUTRAL
-        assert binner(69) is ClassLabel.NEUTRAL
-        assert binner(70) is ClassLabel.HIT
+        assert binner(30) == ClassLabel.NEUTRAL
+        assert binner(69) == ClassLabel.NEUTRAL
+        assert binner(70) == ClassLabel.HIT
 
 
 class TestSplitByYear:

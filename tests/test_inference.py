@@ -29,7 +29,7 @@ from cinestat.linear_models import fit_logistic, fit_ols
 def dm(values, target, names=None):
     values = np.asarray(values, dtype=float)
     names = names or [f"x{j}" for j in range(values.shape[1])]
-    return DesignMatrix(names, values, np.asarray(target, dtype=float), "y")
+    return DesignMatrix(names, values, np.asarray(target, dtype=float))
 
 
 class TestVif:
@@ -345,6 +345,12 @@ class TestConfusionJaccard:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion_and_accuracy([0], [0, 1])
+
+    @pytest.mark.parametrize("predicted,truth", [([-1], [2]), ([3], [0]), ([0], [-1]), ([1], [3])])
+    def test_label_outside_the_classes_rejected(self, predicted, truth):
+        # -1 would index the Hit column and 3 * t + p would alias cells
+        with pytest.raises(ValueError):
+            confusion_and_accuracy(predicted, truth)
 
     def test_jaccard_hand_values(self):
         assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1.0 / 3.0)

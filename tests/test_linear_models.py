@@ -20,7 +20,7 @@ def dm(values, target, names=None):
     if values.shape[0] == 1 and np.asarray(target).size != 1:
         values = values.T
     names = names or [f"x{j}" for j in range(values.shape[1])]
-    return DesignMatrix(names, values, np.asarray(target, dtype=float), "y")
+    return DesignMatrix(names, values, np.asarray(target, dtype=float))
 
 
 class TestOls:
@@ -150,7 +150,7 @@ class TestLogistic:
         # no features: the MLE intercept is the log-odds of the class rate,
         # log(3/1) for 75% positives
         y = np.array([1.0, 1.0, 1.0, 0.0])
-        X = DesignMatrix([], np.zeros((4, 0)), y, "y")
+        X = DesignMatrix([], np.zeros((4, 0)), y)
         fit = fit_logistic(X)
         assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-6)
         p = predict_proba(fit, X)
