@@ -243,7 +243,9 @@ def _scaled_split(feats, train, val, binner):
     def scale(X):
         return (X - mean) / std
 
-    return scale, scale(train_dm.values), binner(train_dm.target), scale(val_dm.values), binner(val_dm.target)
+    return (
+        scale, scale(train_dm.values), binner(train_dm.target), scale(val_dm.values), binner(val_dm.target)
+    )
 
 
 def _fit_kmeans(name, config, train, val, binner):

@@ -161,6 +161,13 @@ class TestBinning:
         with pytest.raises(ValueError):
             self.binner(-1)
 
+    def test_array_of_scores(self):
+        labels = self.binner(np.array([0.0, 39.0, 40.0, 59.0, 60.0, 100.0]))
+        assert labels.dtype.kind == "i"
+        assert labels.tolist() == [0, 0, 1, 1, 2, 2]
+        with pytest.raises(ValueError):
+            self.binner(np.array([50.0, np.nan]))
+
     @pytest.mark.parametrize("score,expected", [(60, True), (59, False), (0, False)])
     def test_binarize_success(self, score, expected):
         assert (self.binner(score) == ClassLabel.HIT) == expected
