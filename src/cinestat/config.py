@@ -42,6 +42,9 @@ COUNT_FIELDS = (
     "per_movie_rows", "kmeans_restarts", "svm_epochs", "mlp_max_epochs", "sarimax_max_evaluations",
 )
 
+# The keys of sarimax_grid: (p, d, q)(P, D, Q), each a list of orders to try.
+SARIMAX_ORDERS = "pdqPDQ"
+
 
 class ConfigError(ValueError):
     pass
@@ -64,7 +67,7 @@ class RunConfig:
     svm_epochs: int = 50
     kmeans_restarts: int = 10
     sarimax_grid: dict[str, list[int]] = field(
-        default_factory=lambda: {k: [0, 1] for k in "pdqPDQ"}
+        default_factory=lambda: {k: [0, 1] for k in SARIMAX_ORDERS}
     )
     sarimax_exog: list[str] = field(default_factory=lambda: ["duration", "movie_count"])
     sarimax_max_evaluations: int = 300
@@ -97,6 +100,19 @@ class RunConfig:
         }
         if non_numeric:
             raise ConfigError(f"test_2020_substitutions must pair numeric fields: {non_numeric}")
+        grid = self.sarimax_grid
+        if not isinstance(grid, dict) or sorted(grid) != sorted(SARIMAX_ORDERS):
+            raise ConfigError(f"sarimax_grid must have the keys {list(SARIMAX_ORDERS)}, got {grid!r}")
+        for key, orders in grid.items():
+            if not isinstance(orders, (list, tuple)) or not orders or not all(
+                isinstance(o, int) and not isinstance(o, bool) and o >= 0 for o in orders
+            ):
+                raise ConfigError(f"sarimax_grid[{key!r}] must list integers >= 0, got {orders!r}")
+        bad_exog = [x for x in self.sarimax_exog if x not in NUMERIC_FIELDS and x != "movie_count"]
+        if bad_exog:
+            raise ConfigError(f"sarimax_exog must name numeric fields or movie_count: {bad_exog}")
+        if len(set(self.sarimax_exog)) != len(self.sarimax_exog):
+            raise ConfigError(f"sarimax_exog repeats a name: {self.sarimax_exog}")
         unknown = set(self.models) - set(ALL_MODELS)
         if unknown:
             raise ConfigError(f"unknown models: {sorted(unknown)}")

@@ -12,6 +12,11 @@ loading R, which an invertible MA part always reaches; from that step on
 the filter is the ARMA innovations recursion, whose coefficients it reads
 off the companion form (AR from T[:, 0], MA from R[1:]), and each further
 observation costs a few scalar operations instead of an r x r update.
+
+The likelihood is maximized by ``nelder_mead``, the Nelder & Mead (1965)
+downhill simplex, written here so the package needs numpy alone.  It takes
+the steps of scipy's ``minimize(method="Nelder-Mead")`` with ``maxfev`` set,
+float operation for float operation, so a fit is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 DIFFUSE_VARIANCE = 1e7
 GAIN_TOLERANCE = 1e-8
 MAX_EVALUATIONS = 2000
+SIMPLEX_XATOL = 1e-6  # stop when every vertex is this close to the best one
+SIMPLEX_FATOL = 1e-8  # ... and every value this close to the best value
 SEASONAL_PERIOD = 12  # months
 
 
@@ -337,6 +343,100 @@ def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
     return mean, beta, ar, ma, sar, sma, T, R
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
+    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, converged).
+
+    The steps are scipy's ``minimize(method="Nelder-Mead", options={"maxfev":
+    max_evaluations, "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})``, with
+    the same float operations in the same order: the initial simplex moves
+    each coordinate by 5% (to 0.00025 from zero); reflection, expansion,
+    contraction and shrink use the coefficients 1, 2, 0.5 and 0.5.  The
+    budget is checked before every evaluation; when it runs out mid-iteration
+    the iteration is abandoned where it stands (a shrink keeps the vertices
+    it already moved) and the simplex is re-sorted.  There is no iteration
+    cap.  ``converged`` is False exactly when the budget ran out.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        if evaluations >= max_evaluations:
+            raise _BudgetSpent
+        evaluations += 1
+        return f(np.copy(x))
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort is not stable, so on tied values a
+    # second sort need not keep the order the first one left
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    while evaluations < max_evaluations:
+        if (
+            np.abs(sim[1:] - sim[0]).max() <= SIMPLEX_XATOL
+            and np.abs(fsim[0] - fsim[1:]).max() <= SIMPLEX_FATOL
+        ):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = evaluate(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], evaluations < max_evaluations
+
+
 def sarimax_fit(
     y: np.ndarray,
     spec: SarimaxSpec,
@@ -374,14 +474,7 @@ def sarimax_fit(
         return -ll if np.isfinite(ll) else 1e12
 
     if x0.size:
-        result = minimize(
-            negloglik,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": max_evaluations, "xatol": 1e-6, "fatol": 1e-8},
-        )
-        zvec = result.x
-        converged = bool(result.success)
+        zvec, converged = nelder_mead(negloglik, x0, max_evaluations)
     else:
         zvec = x0
         converged = True

@@ -18,11 +18,6 @@ def fixture_csv() -> str:
 
 
 @pytest.fixture(scope="session")
-def fixture_config(fixture_csv) -> RunConfig:
-    return RunConfig(dataset=fixture_csv)
-
-
-@pytest.fixture(scope="session")
 def pipeline_runs(fixture_csv):
     """Two independent full pipeline runs on the bundled fixture, with their
     serialized forms and wall times.  Shared session-wide: the full run is

@@ -65,6 +65,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, test_2020_substitutions=subs)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"p": [1]},
+            {**TINY_GRID, "s": [12]},
+            {**TINY_GRID, "q": []},
+            {**TINY_GRID, "p": [-1]},
+            {**TINY_GRID, "d": [True]},
+            {**TINY_GRID, "P": [1.0]},
+            {**TINY_GRID, "Q": 1},
+        ],
+    )
+    def test_malformed_sarimax_grid(self, fixture_csv, grid):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, sarimax_grid=grid)
+
+    @pytest.mark.parametrize(
+        "exog", [["nosuch"], ["Drama"], ["movie_count", "movie_count"], ["duration", "votes", "duration"]]
+    )
+    def test_bad_sarimax_exog(self, fixture_csv, exog):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, sarimax_exog=exog)
+
+    def test_valid_sarimax_exog(self, fixture_csv):
+        exog = ["movie_count", "duration", "budget"]
+        assert RunConfig(dataset=fixture_csv, sarimax_exog=exog).sarimax_exog == exog
+
     def test_unknown_model(self, fixture_csv):
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, models=["slr", "forest"])
@@ -228,8 +255,19 @@ class TestCli:
         assert main(["forecast", "--config", cfg_path, "--horizon", "-3"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sarimax_grid": {"p": [1]}}, {"sarimax_grid": {**TINY_GRID, "p": [-1]}}, {"sarimax_exog": ["nosuch"]}],
+    )
+    def test_malformed_sarimax_config_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, **overrides))
+        assert main(["forecast", "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_forecast_failure_names_stage(self, fixture_csv, tmp_path, capsys):
-        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, sarimax_exog=["nope"]))
+        # every spec in the grid has d + D = 3, so every fit fails
+        grid = {**TINY_GRID, "d": [2], "D": [1]}
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, sarimax_grid=grid))
         assert main(["forecast", "--config", cfg_path]) == 1
         assert "pipeline failure: stage 'timeseries'" in capsys.readouterr().err
 

@@ -1,9 +1,13 @@
-"""Every name the package imports is used in the module that imports it, and
-every function and class it defines is used somewhere in it."""
+"""Every name the package imports is used in the module that imports it,
+every function and class it defines is used somewhere in it, and the package
+runs on numpy alone."""
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +61,12 @@ def test_every_function_has_a_caller():
         and not any(node.name in names for _, other, names in statements if other is not node)
     ]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def test_cli_imports_no_scipy():
+    # scipy is only the tests' reference oracle; importing scipy.optimize
+    # alone adds about half a second to every command's start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cinestat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

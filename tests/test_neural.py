@@ -164,7 +164,7 @@ class TestTrain:
         _, trace = mlp_train(mlp_init(0, (4, 10, 3)), X, y, 500)
         assert trace.stopped_epoch < 500
 
-    def test_loss_decreases_without_early_stopping(self):
+    def test_training_loss_falls_within_fifty_epochs(self):
         X, y = blob_data(seed=3)
         _, trace = mlp_train(mlp_init(0, (4, 12, 3)), X, y, 50)
         assert trace.losses[-1] < trace.losses[0]

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg as sla
-from scipy import signal, stats
+from scipy import optimize, signal, stats
 
 from cinestat.statespace import (
+    SIMPLEX_FATOL,
+    SIMPLEX_XATOL,
     FitError,
     SarimaxSpec,
     build_state_space,
@@ -15,6 +17,7 @@ from cinestat.statespace import (
     expand_polynomials,
     initial_covariance,
     kalman_filter,
+    nelder_mead,
     psi_weights,
     sarimax_fit,
     sarimax_forecast,
@@ -339,6 +342,135 @@ class TestSarimaxFit:
         y = np.cumsum(rng.normal(size=150))
         fit = sarimax_fit(y, SarimaxSpec((1, 0, 0)))
         assert abs(fit.ar[0]) < 1.0
+
+
+def counted(f):
+    """f plus a list holding the number of times it was called."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return f(x)
+
+    return wrapped, calls
+
+
+def assert_nelder_mead_matches_scipy(f, x0, budget, note=""):
+    """Run nelder_mead and scipy's Nelder-Mead on f from x0 with the same
+    budget and tolerances; both must end at the same bits after the same
+    number of evaluations.  Returns (evaluations, converged)."""
+    ours, our_calls = counted(f)
+    theirs, their_calls = counted(f)
+    x, converged = nelder_mead(ours, np.array(x0, dtype=float), budget)
+    ref = optimize.minimize(
+        theirs,
+        np.array(x0, dtype=float),
+        method="Nelder-Mead",
+        options={"maxfev": budget, "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL},
+    )
+    np.testing.assert_array_equal(x, ref.x, err_msg=note)
+    assert converged == ref.success, note
+    assert our_calls[0] == their_calls[0] == ref.nfev, note
+    return our_calls[0], converged
+
+
+def quadratic(A, c):
+    return lambda x: float((x - c) @ A @ (x - c))
+
+
+def rough(w, c):
+    # a rippled bowl: reflections and contractions often land on a ridge,
+    # so the simplex shrinks often
+    return lambda x: float((x - c) @ (x - c) + 0.1 * np.sin(1e3 * (x @ w)))
+
+
+def plateau(A, c):
+    # a bowl cut into terraces: many vertices tie
+    return lambda x: math.floor(4.0 * float((x - c) @ A @ (x - c))) / 4.0
+
+
+def penalised(A, c):
+    # the likelihood's failure value outside a box, as in sarimax_fit
+    return lambda x: 1e12 if np.abs(x).max() > 0.5 else float((x - c) @ A @ (x - c))
+
+
+def random_problem(seed):
+    """(objective, start, budget) in 1 + seed % 6 dimensions."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    M = rng.normal(size=(n, n))
+    A = M @ M.T + 0.1 * np.eye(n)
+    c = rng.normal(size=n)
+    kind = (seed // 6) % 4
+    f = [quadratic(A, c), rough(rng.normal(size=n), c), plateau(A, c), penalised(A, 0.6 * c)][kind]
+    starts = [np.zeros(n), rng.normal(size=n), rng.normal(size=n) * rng.integers(0, 2, size=n)]
+    x0 = starts[(seed // 24) % 3]
+    if kind == 3:
+        x0 = 0.6 * x0
+    budget = [int(rng.integers(1, 3 * n + 3)), int(rng.integers(3 * n + 3, 400)), 4000][seed % 5 % 3]
+    return f, x0, budget
+
+
+class TestNelderMead:
+    """nelder_mead against scipy's Nelder-Mead, a test-only oracle: the same
+    points, the same evaluation count and the same convergence flag."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_scipy_on_random_problems(self, n):
+        outcomes = set()
+        for seed in range(n - 1, 600, 6):
+            f, x0, budget = random_problem(seed)
+            evaluations, converged = assert_nelder_mead_matches_scipy(f, x0, budget, f"seed {seed}")
+            outcomes.add((evaluations <= n, converged))
+        # the budget ran out in the initial simplex, ran out later, and was
+        # not needed in full
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    def test_initial_simplex(self):
+        points = []
+        nelder_mead(lambda x: points.append(x) or 0.0, np.array([0.0, 2.0, -3.0]), 4)
+        # a non-zero coordinate is multiplied by 1.05 (1.05 * -3.0 is one ulp
+        # off the decimal -3.15); a zero one moves to 0.00025
+        np.testing.assert_array_equal(
+            points, [[0.0, 2.0, -3.0], [0.00025, 2.0, -3.0], [0.0, 1.05 * 2.0, -3.0], [0.0, 2.0, 1.05 * -3.0]]
+        )
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_budget_spent_in_the_initial_simplex(self, n):
+        rng = np.random.default_rng(n)
+        f = quadratic(np.eye(n), rng.normal(size=n))
+        for budget in range(1, n + 1):
+            assert assert_nelder_mead_matches_scipy(f, rng.normal(size=n), budget) == (budget, False)
+
+    def test_budget_spent_in_an_expansion(self):
+        # from 0 towards 10 every iteration reflects and then expands; with
+        # 3 evaluations the expansion is refused and the iteration dropped,
+        # reflected point included
+        f = quadratic(np.eye(1), np.array([10.0]))
+        x, converged = nelder_mead(f, np.zeros(1), 3)
+        np.testing.assert_array_equal(x, [0.00025])
+        assert not converged
+        for budget in range(3, 21, 2):
+            assert_nelder_mead_matches_scipy(f, np.zeros(1), budget)
+
+    def test_budget_spent_in_a_shrink(self):
+        # on a flat objective every iteration reflects, contracts inside and
+        # shrinks: 4 + 2 evaluations, then shrink evaluations 7, 8 and 9
+        flat = lambda x: 1.0  # noqa: E731
+        for budget in range(4, 25):
+            assert assert_nelder_mead_matches_scipy(flat, np.array([0.3, 0.0, -1.2]), budget) == (
+                budget,
+                False,
+            )
+
+    def test_flat_objective_converges(self):
+        evaluations, converged = assert_nelder_mead_matches_scipy(lambda x: 1.0, np.zeros(2), 4000)
+        assert converged and evaluations < 4000
+
+    def test_penalty_everywhere_but_the_start(self):
+        f = penalised(np.eye(2), np.zeros(2))
+        for budget in (3, 10, 100, 4000):
+            assert_nelder_mead_matches_scipy(f, np.array([0.5, -0.5]), budget)
 
 
 class TestForecast:
