@@ -108,6 +108,8 @@ class RunConfig:
                 isinstance(o, int) and not isinstance(o, bool) and o >= 0 for o in orders
             ):
                 raise ConfigError(f"sarimax_grid[{key!r}] must list integers >= 0, got {orders!r}")
+            if len(set(orders)) != len(orders):
+                raise ConfigError(f"sarimax_grid[{key!r}] repeats an order: {orders!r}")
         bad_exog = [x for x in self.sarimax_exog if x not in NUMERIC_FIELDS and x != "movie_count"]
         if bad_exog:
             raise ConfigError(f"sarimax_exog must name numeric fields or movie_count: {bad_exog}")

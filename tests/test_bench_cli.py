@@ -75,6 +75,8 @@ class TestConfig:
             {**TINY_GRID, "d": [True]},
             {**TINY_GRID, "P": [1.0]},
             {**TINY_GRID, "Q": 1},
+            {**TINY_GRID, "p": [1, 1]},
+            {**TINY_GRID, "D": [0, 1, 0]},
         ],
     )
     def test_malformed_sarimax_grid(self, fixture_csv, grid):
@@ -257,7 +259,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"sarimax_grid": {"p": [1]}}, {"sarimax_grid": {**TINY_GRID, "p": [-1]}}, {"sarimax_exog": ["nosuch"]}],
+        [
+            {"sarimax_grid": {"p": [1]}},
+            {"sarimax_grid": {**TINY_GRID, "p": [-1]}},
+            {"sarimax_grid": {**TINY_GRID, "p": [1, 1]}},
+            {"sarimax_exog": ["nosuch"]},
+        ],
     )
     def test_malformed_sarimax_config_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
         cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, **overrides))
