@@ -7,6 +7,7 @@ from scipy import linalg as sla
 from scipy import optimize, signal, stats
 
 from cinestat.statespace import (
+    GAIN_TOLERANCE,
     SIMPLEX_FATOL,
     SIMPLEX_XATOL,
     FitError,
@@ -226,6 +227,9 @@ class TestKalmanExactness:
             # a non-invertible MA part: the gain settles away from R, so the
             # Riccati recursion runs to the end
             pytest.param([0.5], [2.0], lambda s: 300, False, id="noninvertible_ma"),
+            # the same with r = 3: the gain's last entry reaches R[-1] = 0,
+            # while its MA entry settles away from R[1]
+            pytest.param([0.5, 0.2, 0.1], [2.0], lambda s: 300, False, id="noninvertible_ma_last_gain_at_r"),
             # (2,0,1)(1,0,1)12: a steady phase of 13 steps, one short of
             # r = 14, that AR lags 1, 2 and 12 reach into; a_s[13] carries
             # over into the returned state
@@ -251,18 +255,33 @@ class TestKalmanExactness:
         rng = np.random.default_rng(17)
         z = rng.normal(size=n)
         v, F, a_next, P_next = kalman_filter(z, T, R)
-        # reference: plain recursion without freezing
+        # reference: plain recursion without freezing; s_ref is the first
+        # step at which it meets both freeze criteria (n if none)
         a = np.zeros(T.shape[0])
         P = P0.copy()
         RR = np.outer(R, R)
         v_ref = np.empty(n)
         F_ref = np.empty(n)
+        s_ref = n
         for t in range(n):
             v_ref[t] = z[t] - a[0]
             F_ref[t] = P[0, 0]
             K = P[:, 0] / F_ref[t]
             a = T @ (a + K * v_ref[t])
-            P = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
+            P_new = T @ (P - np.outer(K, P[0, :])) @ T.T + RR
+            fixed = np.max(np.abs(P_new - P)) < 1e-12 * (1.0 + np.max(np.abs(P_new)))
+            if s_ref == n and fixed and np.max(np.abs(K - R)) < GAIN_TOLERANCE:
+                s_ref, P_frozen = t + 1, P_new
+            P = P_new
+        if s_ref == n:
+            P_frozen = P
+        # until it freezes the filter is this recursion bit for bit, and it
+        # freezes at s_ref: F holds that step's covariance from there on,
+        # and that covariance is the one returned
+        np.testing.assert_array_equal(v[:s_ref], v_ref[:s_ref])
+        np.testing.assert_array_equal(F[:s_ref], F_ref[:s_ref])
+        np.testing.assert_array_equal(F[s_ref:], P_frozen[0, 0])
+        np.testing.assert_array_equal(P_next, P_frozen)
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-8)
         np.testing.assert_allclose(F, F_ref, rtol=0, atol=1e-8)
         np.testing.assert_allclose(a_next, a, rtol=0, atol=1e-8)
