@@ -173,19 +173,18 @@ def stationary_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray | None:
     transition is not stable."""
     A = T.copy()
     P = np.outer(R, R)
-    for _ in range(60):
-        with np.errstate(over="ignore", invalid="ignore"):
-            AP = A @ P
-            P_next = P + AP @ A.T
-            A = A @ A
-        if not np.all(np.isfinite(P_next)):
-            return None
-        if np.abs(P_next - P).max() < 1e-14 * (1.0 + np.abs(P_next).max()):
-            # the propagated term must actually have died out
-            if np.abs(A).max() > 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):
+            P_next = P + np.dot(np.dot(A, P), A.T)
+            A = np.dot(A, A)
+            if not np.isfinite(P_next).all():
                 return None
-            return P_next
-        P = P_next
+            if np.abs(P_next - P).max() < 1e-14 * (1.0 + np.abs(P_next).max()):
+                # the propagated term must actually have died out
+                if np.abs(A).max() > 1e-6:
+                    return None
+                return P_next
+            P = P_next
     return None
 
 
@@ -225,16 +224,33 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     v = np.empty(n)
     F = np.empty(n)
     s = n
+    # A Riccati step is a dozen numpy calls on small arrays, and their call
+    # overhead, not the arithmetic, is its cost.  np.dot with a contiguous
+    # copy of T' costs less to call than ``T @ M @ T.T`` and reaches the same
+    # BLAS product.  The bits stay those of the ``@`` form: T is a companion
+    # matrix, so each entry of T M and of M T' is at most two non-zero
+    # products, one of them by 1 (TestKalmanExactness pins this).  The freeze
+    # test checks the gain before the covariance, since it is the cheaper
+    # test and fails on most steps, and the gain's last entry as a Python
+    # float before the whole vector.  That entry's test is implied by the
+    # vector's, so the freeze step is the one the full rule gives.
+    Tt = np.ascontiguousarray(T.T)
+    R_last = float(R[-1])
     for t in range(n):
         vt = z[t] - a[0]
         v[t] = vt
         F[t] = P[0, 0]
         K = P[:, 0] / P[0, 0]
-        a = T @ (a + K * vt)
-        P_next = T @ (P - K[:, None] * P[0, :]) @ T.T + RR
-        fixed = np.abs(P_next - P).max() < 1e-12 * (1.0 + np.abs(P_next).max())
+        a = np.dot(T, a + K * vt)
+        P_next = np.dot(np.dot(T, P - K[:, None] * P[0, :]), Tt)
+        P_next += RR
+        frozen = (
+            abs(K.item(-1) - R_last) < GAIN_TOLERANCE
+            and np.abs(K - R).max() < GAIN_TOLERANCE
+            and np.abs(P_next - P).max() < 1e-12 * (1.0 + np.abs(P_next).max())
+        )
         P = P_next
-        if fixed and np.abs(K - R).max() < GAIN_TOLERANCE:
+        if frozen:
             s = t + 1
             break
     if s == n:
