@@ -330,9 +330,10 @@ def feature_rows(table: MovieTable, feature_names: list[str]) -> tuple[np.ndarra
     """Complete-case rows of the named features, in the given column order,
     and the index of the table row behind each.
 
-    A missing numeric value leaves its row out.  Any other name reads as
-    genre membership (1.0 or 0.0), so a genre that no row carries gives a
-    column of zeros.
+    A missing or infinite numeric value leaves its row out, so a complete
+    case has every feature finite.  Any other name reads as genre
+    membership (1.0 or 0.0), so a genre that no row carries gives a column
+    of zeros.
     """
     genre_column = {g: j for j, g in enumerate(table.vocabulary)}
     X = np.zeros((len(table), len(feature_names)))
@@ -341,7 +342,7 @@ def feature_rows(table: MovieTable, feature_names: list[str]) -> tuple[np.ndarra
             X[:, k] = table.columns[name]
         elif name in genre_column:
             X[:, k] = table.genre_matrix[:, genre_column[name]]
-    complete = ~np.isnan(X).any(axis=1)
+    complete = np.isfinite(X).all(axis=1)
     return X[complete], np.flatnonzero(complete).tolist()
 
 

@@ -263,6 +263,16 @@ class TestFeatureRows:
         assert kept == [0, 2]
         np.testing.assert_array_equal(X, [[1e6, 100.0, 1.0], [1e6, 90.0, 1.0]])
 
+    def test_infinite_numeric_leaves_record_out(self, tmp_path):
+        # "1e999" parses as inf: a complete case has every feature finite,
+        # in training rows as in every row a model labels
+        rows = [make_row(), make_row(title="B", budget="1e999"), make_row(title="C", budget="-1e999")]
+        records = load_movies(write_csv(tmp_path, rows)).records
+        assert np.isinf(records.columns["budget"][1:]).all()
+        X, kept = feature_rows(records, ["budget", "duration"])
+        assert kept == [0]
+        assert build_design_matrix(records, ["budget", "duration"], "metascore").n == 1
+
     def test_unseen_genre_reads_zero(self, tmp_path):
         records = load_movies(write_csv(tmp_path, [make_row(genres="Drama")])).records
         X, kept = feature_rows(records, ["NoSuchGenre", "Drama"])

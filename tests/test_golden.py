@@ -102,6 +102,27 @@ def test_2020_holdout_accuracies(golden_report):
     }
 
 
+def test_infinite_optional_value_is_missing_in_the_holdout(tmp_path, monkeypatch):
+    # a budget of 1e999 parses as inf; the holdout row carrying it must be
+    # left out of the budget models, exactly as if the budget were blank
+    monkeypatch.chdir(ROOT)
+    lines = (ROOT / DATASET).read_text(encoding="utf-8").splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    budget, metascore = header.index("budget"), header.index("metascore")
+    # the first row with a budget, a metascore and no quoted field before them
+    i = next(i for i, line in enumerate(lines[1:], 1)
+             if '"' not in line and line.split(",")[budget] and line.rstrip("\n").split(",")[metascore])
+    accuracies = {}
+    for value in ("1e999", ""):
+        cells = lines[i].split(",")
+        cells[budget] = value
+        holdout = tmp_path / f"holdout{value}.csv"
+        holdout.write_text("".join(lines[:i] + [",".join(cells)] + lines[i + 1:]), encoding="utf-8")
+        config = RunConfig.from_dict({**CONFIG, "models": ["mlr", "ridge", "lasso"], "test_2020": str(holdout)})
+        accuracies[value] = run_pipeline(config)["test_2020"]["accuracy"]
+    assert accuracies["1e999"] == accuracies[""]
+
+
 def reference_row(table, i, feature_names):
     """Row ``i``'s feature vector, built field by field: None when a numeric
     feature is missing, any other name read as 0/1 genre membership."""
