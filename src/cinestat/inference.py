@@ -207,18 +207,9 @@ def roc_auc(scores, binary_labels) -> float:
     neg = s[y == 0]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both classes must be present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size)
-    sorted_s = s[order]
-    i = 0
-    rank = np.arange(1, s.size + 1, dtype=float)
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        rank[i : j + 1] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
-    ranks[order] = rank
+    # average ranks: a run of tied scores at 1-based ranks i..j takes (i + j) / 2
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     n1 = pos.size
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * neg.size)
