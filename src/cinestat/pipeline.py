@@ -84,10 +84,11 @@ def run_pipeline(config: RunConfig) -> dict:
     predictors = {}  # model name -> (feature names, vectorized predict)
     for name, fit_model in MODEL_STAGES:
         if name in config.models:
-            row, entries, predict = run_stage(name, fit_model, name, config, train, val, binner)
+            row, entries, predictors[name] = run_stage(
+                name, fit_and_score, name, fit_model, config, train, val, binner
+            )
             report["models"][name] = row
             report.update(entries)
-            predictors[name] = (row["features"], predict)
 
     ts_table, series_out = run_stage("timeseries", _timeseries_section, config, loaded.records)
     report["timeseries"] = ts_table
@@ -138,12 +139,28 @@ def _ingest(config):
 
 
 # --------------------------------------------------------------------------
-# model stages: each returns (report row, other top-level report entries,
-# predict), where predict maps a feature matrix in the row's "features"
-# column order to an int array of ClassLabel values, one per row.
+# model stages: each fits on the training partition and returns (report row,
+# other top-level report entries, predict), where predict maps a feature
+# matrix in the row's "features" column order to an int array of ClassLabel
+# values, one per row.  fit_and_score adds the validation accuracy.
 
 
-def _regression_diagnostics(fit, train_dm, val_dm, binner):
+def fit_and_score(name, fit_model, config, train, val, binner):
+    """Fit one model stage and score the predict it serves on the validation
+    partition.  Returns the report row, the other report entries and the
+    model's (feature names, predict) pair."""
+    row, entries, predict = fit_model(name, config, train, val, binner)
+    predictor = (row["features"], predict)
+    scored = score(name, predictor, val, binner)
+    if scored is None:
+        raise ValueError("no validation row carries every feature")
+    confusion, row["accuracy"] = scored
+    if name != "logistic":  # a binary model has no ternary confusion matrix
+        row["confusion"] = confusion
+    return row, entries, predictor
+
+
+def _regression_diagnostics(fit, train_dm):
     resid = train_dm.target - linear_models.predict(fit, train_dm)
     n, p = train_dm.n, train_dm.p
     r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((train_dm.target - train_dm.target.mean()) ** 2))
@@ -152,7 +169,6 @@ def _regression_diagnostics(fit, train_dm, val_dm, binner):
     dw = inference.durbin_watson(resid)
     jb = inference.jarque_bera(resid)
     lm = inference.breusch_godfrey(resid, train_dm, lags=min(10, n - p - 2))
-    confusion, accuracy = linear_models.evaluate_binned(fit, val_dm, binner)
     valid, reasons = inference.regression_validity(f_test, dw, jb, lm)
     return {
         "family": "regression",
@@ -164,12 +180,8 @@ def _regression_diagnostics(fit, train_dm, val_dm, binner):
         "durbin_watson": dw.to_dict(),
         "jarque_bera": jb.to_dict(),
         "lagrange_multiplier": lm.to_dict(),
-        "accuracy": accuracy,
-        "confusion": confusion,
         "validity": {"valid": valid, "reasons": reasons},
     }
-
-
 
 
 def _fit_slr(name, config, train, val, binner):
@@ -186,14 +198,13 @@ def _fit_slr(name, config, train, val, binner):
 def _fit_linear(name, config, train, val, binner, feats=None):
     feats = feats or config.features[name]
     train_dm = build_design_matrix(train, feats, "metascore")
-    val_dm = build_design_matrix(val, feats, "metascore")
     if name == "ridge":
         fit = linear_models.fit_ridge(train_dm, config.ridge_lambda)
     elif name == "lasso":
         fit = linear_models.fit_lasso(train_dm, config.lasso_lambda)
     else:
         fit = linear_models.fit_ols(train_dm)
-    row = _regression_diagnostics(fit, train_dm, val_dm, binner)
+    row = _regression_diagnostics(fit, train_dm)
     if name == "mlr":
         row["vif"] = inference.vif(train_dm)
     if name in ("ridge", "lasso"):
@@ -203,21 +214,17 @@ def _fit_linear(name, config, train, val, binner, feats=None):
 
 def _fit_logistic_model(name, config, train, val, binner):
     feats = config.features[name]
-
-    def binary_dm(records):
-        dm = build_design_matrix(records, feats, "metascore")
-        return DesignMatrix(dm.column_names, dm.values, binner(dm.target) == ClassLabel.HIT)
-
-    train_dm = binary_dm(train)
-    val_dm = binary_dm(val)
-    fit = linear_models.fit_logistic(train_dm)
+    dm = build_design_matrix(train, feats, "metascore")
+    fit = linear_models.fit_logistic(
+        DesignMatrix(dm.column_names, dm.values, binner(dm.target) == ClassLabel.HIT)
+    )
 
     def predict(X):
         return np.where(linear_models.predict(fit, X) >= 0, ClassLabel.HIT, ClassLabel.FLOP)
 
-    truths = np.where(val_dm.target == 1, ClassLabel.HIT, ClassLabel.FLOP)
-    _, accuracy = inference.confusion_and_accuracy(predict(val_dm), truths)
-    auc = inference.roc_auc(linear_models.predict_proba(fit, val_dm), val_dm.target.astype(int))
+    Xv, kept = feature_rows(val, feats)
+    hit = binner(val.columns["metascore"][kept]) == ClassLabel.HIT
+    auc = inference.roc_auc(linear_models.predict_proba(fit, Xv), hit.astype(int))
     wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []
     row = {
         "family": "logistic",
@@ -225,17 +232,15 @@ def _fit_logistic_model(name, config, train, val, binner):
         "coefficients": {"intercept": fit.intercept, **fit.named},
         "converged": fit.converged,
         "iterations": fit.iterations,
-        "accuracy": accuracy,
         "roc_auc": auc,
     }
     return row, {"wald_table": wald}, predict
 
 
-def _scaled_split(feats, train, val, binner):
-    """Both partitions standardized by the training moments, each with its
-    binned labels, plus the standardizing map for later rows."""
+def _scaled_training(feats, train, binner):
+    """The standardizing map by the training moments, the standardized
+    training features and their binned labels."""
     train_dm = build_design_matrix(train, feats, "metascore")
-    val_dm = build_design_matrix(val, feats, "metascore")
     mean = train_dm.values.mean(axis=0)
     std = train_dm.values.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -243,22 +248,18 @@ def _scaled_split(feats, train, val, binner):
     def scale(X):
         return (X - mean) / std
 
-    return (
-        scale, scale(train_dm.values), binner(train_dm.target), scale(val_dm.values), binner(val_dm.target)
-    )
+    return scale, scale(train_dm.values), binner(train_dm.target)
 
 
 def _fit_kmeans(name, config, train, val, binner):
     feats = config.features[name]
-    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
+    scale, Xt, yt = _scaled_training(feats, train, binner)
     model = classifiers.kmeans_fit(Xt, 3, seed=config.seed, restarts=config.kmeans_restarts)
+    Xv = scale(feature_rows(val, feats)[0])
     predicted = classifiers.kmeans_classify(model, yt, Xv)
-    confusion, accuracy = inference.confusion_and_accuracy(predicted, yv)
     row = {
         "family": "classifier",
         "features": feats,
-        "accuracy": accuracy,
-        "confusion": confusion,
         "silhouette": _predicted_silhouette(Xv, predicted),
         "inertia": model.inertia,
         "cluster_to_class": {str(j): LABEL_LETTERS[c] for j, c in enumerate(model.cluster_to_class)},
@@ -268,19 +269,16 @@ def _fit_kmeans(name, config, train, val, binner):
 
 def _fit_svm(name, config, train, val, binner):
     feats = config.features[name]
-    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
+    scale, Xt, yt = _scaled_training(feats, train, binner)
     model = classifiers.ordinal_svm_fit(
         Xt, yt, C=config.svm_C, epochs=config.svm_epochs, seed=config.seed,
         feature_names=feats,
     )
-    predicted = classifiers.ordinal_svm_predict(model, Xv)
-    confusion, accuracy = inference.confusion_and_accuracy(predicted, yv)
+    Xv = scale(feature_rows(val, feats)[0])
     row = {
         "family": "classifier",
         "features": feats,
-        "accuracy": accuracy,
-        "confusion": confusion,
-        "silhouette": _predicted_silhouette(Xv, predicted),
+        "silhouette": _predicted_silhouette(Xv, classifiers.ordinal_svm_predict(model, Xv)),
         "thresholds": [model.b1, model.b2],
     }
     return row, {}, lambda X: classifiers.ordinal_svm_predict(model, scale(X))
@@ -296,10 +294,9 @@ def _predicted_silhouette(X, predicted_labels):
 
 def _fit_ann(name, config, train, val, binner):
     feats = config.features[name]
-    scale, Xt, yt, Xv, yv = _scaled_split(feats, train, val, binner)
+    scale, Xt, yt = _scaled_training(feats, train, binner)
     model = neural.mlp_init(config.seed, (len(feats), 100, 3))
     trained, trace = neural.mlp_train(model, Xt, yt, config.mlp_max_epochs)
-    confusion, accuracy = inference.confusion_and_accuracy(neural.mlp_predict(trained, Xv), yv)
     summary = {
         "attributes": feats,
         "type": "multi-layer perceptron classifier",
@@ -315,12 +312,7 @@ def _fit_ann(name, config, train, val, binner):
         "stopped_epoch": trace.stopped_epoch,
         "best_validation_score": trace.best_validation_score,
     }
-    row = {
-        "family": "neural",
-        "features": feats,
-        "accuracy": accuracy,
-        "confusion": confusion,
-    }
+    row = {"family": "neural", "features": feats}
     loss_curve = [[i + 1, loss] for i, loss in enumerate(trace.losses)]
     entries = {"ann_summary": summary, "series": {"loss_curve": loss_curve}}
     return row, entries, lambda X: neural.mlp_predict(trained, scale(X))
@@ -418,6 +410,20 @@ def predict_labels(predictor, table: MovieTable) -> tuple[list[int], np.ndarray]
     return kept, predict(X)
 
 
+def score(name, predictor, table: MovieTable, binner) -> tuple[np.ndarray, float] | None:
+    """Confusion matrix (rows = truth, cols = predicted) and accuracy of a
+    model's predict over the table rows that carry every feature, judged
+    against the binned metascore; the logistic model is judged on hit or not
+    hit.  None when no row carries every feature."""
+    kept, labels = predict_labels(predictor, table)
+    if not kept:
+        return None
+    truths = binner(table.columns["metascore"][kept])
+    if name == "logistic":
+        truths = np.where(truths == ClassLabel.HIT, ClassLabel.HIT, ClassLabel.FLOP)
+    return inference.confusion_and_accuracy(labels, truths)
+
+
 def predict_movies(predictors, table: MovieTable, binner, limit: int) -> list[dict]:
     """Per-movie prediction rows for the most recent scored movies."""
     scored = table.scored()
@@ -448,12 +454,8 @@ def _evaluate_2020(config, predictors, binner):
     table = dataclasses.replace(table, columns={**table.columns, **columns})
     if not len(table):
         raise ValueError("no scored rows in the 2020 holdout")
-    truths = binner(table.columns["metascore"])
-    # the logistic model is binary: it is judged on hit or not hit
-    hit_or_not = np.where(truths == ClassLabel.HIT, ClassLabel.HIT, ClassLabel.FLOP)
     out = {"substitutions": dict(subs), "n_rows": len(table), "accuracy": {}}
     for name, predictor in predictors.items():
-        kept, labels = predict_labels(predictor, table)
-        model_truths = (hit_or_not if name == "logistic" else truths)[kept]
-        out["accuracy"][name] = inference.confusion_and_accuracy(labels, model_truths)[1] if kept else None
+        scored = score(name, predictor, table, binner)
+        out["accuracy"][name] = None if scored is None else scored[1]
     return out

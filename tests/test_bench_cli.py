@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -22,6 +23,22 @@ def small_config_dict(fixture_csv, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def rewrite_csv(source, tmp_path, edit):
+    """A copy of the ``source`` CSV with ``edit(i, row)`` applied to each
+    data row's field dict in place."""
+    with open(source, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        fields, rows = reader.fieldnames, list(reader)
+    for i, row in enumerate(rows):
+        edit(i, row)
+    path = tmp_path / "movies.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +178,31 @@ class TestPipelineSubset:
             run_pipeline(config)
         assert exc.value.stage == model
         assert isinstance(exc.value.cause, KeyError)
+
+    @pytest.mark.parametrize("model", ["mlr", "ridge", "lasso", "logistic", "kmeans", "svm", "ann"])
+    def test_genre_carried_only_by_training_rows(self, fixture_csv, tmp_path, model):
+        # validation reads the genre as 0, as the per-movie and holdout rows do
+        def add_western(i, row):
+            if i % 4 == 0 and 1990 <= int(row["year"]) <= 2015:
+                row["genres"] += ", Western"
+        dataset = rewrite_csv(fixture_csv, tmp_path, add_western)
+        features = {model: ["duration", "avg_vote", "votes", "Western"]}
+        report = run_pipeline(RunConfig.from_dict(
+            small_config_dict(dataset, models=[model], features=features)
+        ))
+        assert 0.0 <= report["models"][model]["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("model", ["mlr", "ridge", "lasso", "logistic", "kmeans", "svm", "ann"])
+    def test_no_complete_validation_row_names_model_stage(self, fixture_csv, tmp_path, model):
+        def blank_later_budgets(i, row):
+            if int(row["year"]) > 2015:
+                row["budget"] = ""
+        dataset = rewrite_csv(fixture_csv, tmp_path, blank_later_budgets)
+        features = {model: ["duration", "avg_vote", "budget"]}
+        config = RunConfig.from_dict(small_config_dict(dataset, models=[model], features=features))
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config)
+        assert exc.value.stage == model
 
     def test_jaccard_table_subset(self, small_report):
         models = [r["model"] for r in small_report["jaccard_table"]]

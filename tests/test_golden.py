@@ -21,7 +21,7 @@ import pytest
 from cinestat.cli import main
 from cinestat.config import RunConfig
 from cinestat.data_pipeline import NUMERIC_FIELDS, ClassLabel, load_movies, make_binner, split_by_year
-from cinestat.pipeline import MODEL_STAGES, predict_labels, run_pipeline
+from cinestat.pipeline import MODEL_STAGES, fit_and_score, predict_labels, run_pipeline
 from cinestat.report import emit_report, report_json, report_markdown
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -143,7 +143,7 @@ def reference_row(table, i, feature_names):
 def fitted_models():
     """Every model fitted on the fixture, with the record sets the report
     labels (the validation partition and the substituted holdout) and each
-    stage's reported validation accuracy."""
+    model's validation accuracy, as the pipeline scores and reports it."""
     config = RunConfig.from_dict({**CONFIG, "dataset": str(ROOT / DATASET)})
     table = load_movies(config.dataset).records
     split = split_by_year(table)
@@ -151,8 +151,7 @@ def fitted_models():
     binner = make_binner(*config.bin_thresholds)
     models, accuracies = {}, {}
     for name, fit_model in MODEL_STAGES:
-        row, _, predict = fit_model(name, config, train, val, binner)
-        models[name] = (row["features"], predict)
+        row, _, models[name] = fit_and_score(name, fit_model, config, train, val, binner)
         accuracies[name] = row["accuracy"]
     holdout = table.scored()
     holdout = dataclasses.replace(
@@ -179,8 +178,8 @@ def test_vectorized_labels_match_per_record_loop(fitted_models, model, record_se
 
 @pytest.mark.parametrize("model", [name for name, _ in MODEL_STAGES])
 def test_reported_accuracy_is_the_served_predictors(fitted_models, model):
-    # the accuracy a stage reports is the share of validation rows that the
-    # predict serving the per-movie and 2020 rows labels correctly; the
+    # the accuracy reported for a model is the share of validation rows that
+    # the predict serving the per-movie and 2020 rows labels correctly; the
     # logistic model is judged on hit or not hit
     models, record_sets, accuracies = fitted_models
     val = record_sets["validation"]
