@@ -109,7 +109,8 @@ def test_infinite_optional_value_is_missing_in_the_holdout(tmp_path, monkeypatch
     lines = (ROOT / DATASET).read_text(encoding="utf-8").splitlines(keepends=True)
     header = lines[0].rstrip("\n").split(",")
     budget, metascore = header.index("budget"), header.index("metascore")
-    # the first row with a budget, a metascore and no quoted field before them
+    # the first row with a budget and a metascore and no quoted field, so
+    # that splitting on commas finds its cells
     i = next(i for i, line in enumerate(lines[1:], 1)
              if '"' not in line and line.split(",")[budget] and line.rstrip("\n").split(",")[metascore])
     accuracies = {}
