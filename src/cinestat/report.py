@@ -1,5 +1,8 @@
 """Render the benchmark report as canonical JSON, markdown tables, or a CSV
-bundle with plot-ready series."""
+bundle with plot-ready series.
+
+Every table is built by one function, ``report -> (headers, rows)``; the
+markdown report and the CSV bundle are each one ordered list of them."""
 
 from __future__ import annotations
 
@@ -8,16 +11,6 @@ import json
 import os
 
 FORMATS = ("json", "md", "csv")
-
-TABLE_SECTIONS = [
-    "Wald test (logistic regression)",
-    "Regression analysis",
-    "Classification analysis",
-    "Time series analysis",
-    "Neural network summary",
-    "Attribute availability (Jaccard)",
-    "Per-movie predictions",
-]
 
 
 def report_json(report: dict) -> str:
@@ -32,17 +25,13 @@ def emit_report(report: dict, fmt: str, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir!r} is not writable")
-    if fmt == "json":
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
-        return [path]
-    if fmt == "md":
-        path = os.path.join(out_dir, "report.md")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_markdown(report))
-        return [path]
-    return _emit_csv_bundle(report, out_dir)
+    if fmt == "csv":
+        return _emit_csv_bundle(report, out_dir)
+    render = report_json if fmt == "json" else report_markdown
+    path = os.path.join(out_dir, f"report.{fmt}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(render(report))
+    return [path]
 
 
 def _fmt(value) -> str:
@@ -66,12 +55,69 @@ def _stat(value, key="statistic"):
     return value.get(key) if isinstance(value, dict) else value
 
 
-# Tables that markdown and CSV render alike: (headers, rows).
+def _valid(row):
+    """A model row's validity ruling; None for a model that has none."""
+    return _stat(row.get("validity"), "valid")
 
 
-def _wald_table(report):
+def _models(report, *families):
+    """(name, row) of every model in name order, or of the named families only."""
+    return [
+        (name, row)
+        for name, row in sorted(report.get("models", {}).items())
+        if not families or row.get("family") in families
+    ]
+
+
+# Table builders: report -> (headers, rows).
+
+
+def _wald_table(report, p_header="p_value"):
     rows = [[r["name"], r["statistic"], r["p_value"], r["df"]] for r in report.get("wald_table", [])]
-    return ["coefficient", "chi2", "p_value", "df"], rows
+    return ["coefficient", "chi2", p_header, "df"], rows
+
+
+def _regression_table(report):
+    stats = (
+        "r2", "adjusted_r2", "f_statistic", "durbin_watson",
+        "jarque_bera", "lagrange_multiplier", "accuracy",
+    )
+    rows = [
+        [name, *(_stat(row.get(k)) for k in stats), _valid(row)]
+        for name, row in _models(report, "regression", "logistic")
+    ]
+    return ["model", "R2", "adj R2", "F", "DW", "JB", "LM", "accuracy", "valid"], rows
+
+
+def _classification_table(report):
+    rows = [
+        [name, row.get("silhouette"), row.get("accuracy")]
+        for name, row in _models(report, "classifier")
+    ]
+    return ["model", "silhouette", "accuracy"], rows
+
+
+def _models_table(report):
+    rows = [
+        [name, *(row.get(k) for k in ("family", "accuracy", "r2", "silhouette")), _valid(row)]
+        for name, row in _models(report)
+    ]
+    return ["model", "family", "accuracy", "r2", "silhouette", "valid"], rows
+
+
+def _timeseries_table(quantities):
+    """A builder of the time-series quantities, given as (label, report key)
+    pairs; a test reads as its statistic."""
+
+    def build(report):
+        ts = report.get("timeseries", {})
+        return ["quantity", "value"], [[label, _stat(ts.get(key))] for label, key in quantities]
+
+    return build
+
+
+def _ann_table(report):
+    return ["attribute", "value"], sorted(report.get("ann_summary", {}).items())
 
 
 def _jaccard_table(report):
@@ -89,75 +135,62 @@ def _per_movie_table(report):
     return ["movie", "truth"] + model_cols, rows
 
 
+_TIMESERIES_MD = [
+    ("ADF statistic", "adf"),
+    ("selected order", "selected_order"),
+    ("selected seasonal order", "selected_seasonal_order"),
+    ("RMSE", "rmse"),
+    ("log-likelihood", "log_likelihood"),
+    ("AIC", "aic"),
+    ("BIC", "bic"),
+    ("HQIC", "hqic"),
+    ("Ljung-Box Q", "ljung_box"),
+    ("skewness", "skewness"),
+    ("kurtosis", "kurtosis"),
+    ("Jarque-Bera", "jarque_bera"),
+    ("Durbin-Watson", "durbin_watson"),
+]
+
+_TIMESERIES_CSV = [("adf_statistic", "adf")] + [
+    (key, key)
+    for key in (
+        "rmse", "log_likelihood", "aic", "bic", "hqic",
+        "ljung_box", "jarque_bera", "durbin_watson", "skewness", "kurtosis",
+    )
+]
+
+MARKDOWN_SECTIONS = [
+    ("Wald test (logistic regression)", lambda report: _wald_table(report, "p-value")),
+    ("Regression analysis", _regression_table),
+    ("Classification analysis", _classification_table),
+    ("Time series analysis", _timeseries_table(_TIMESERIES_MD)),
+    ("Neural network summary", _ann_table),
+    ("Attribute availability (Jaccard)", _jaccard_table),
+    ("Per-movie predictions", _per_movie_table),
+]
+
+TABLE_SECTIONS = [heading for heading, _ in MARKDOWN_SECTIONS]
+
+CSV_TABLES = [
+    ("wald.csv", _wald_table),
+    ("models.csv", _models_table),
+    ("timeseries.csv", _timeseries_table(_TIMESERIES_CSV)),
+    ("jaccard.csv", _jaccard_table),
+    ("per_movie.csv", _per_movie_table),
+]
+
+# The plot-ready series, each written to <key>.csv when the report holds it.
+CSV_SERIES = [
+    ("loss_curve", ["epoch", "loss"]),
+    ("monthly_metascore", ["month", "value", "interpolated"]),
+    ("forecast", ["month", "point", "low", "high"]),
+]
+
+
 def report_markdown(report: dict) -> str:
     parts = ["# Movie-success benchmark report\n"]
-
-    parts.append(f"## {TABLE_SECTIONS[0]}\n")
-    headers, rows = _wald_table(report)
-    parts.append(_md_table([h.replace("p_value", "p-value") for h in headers], rows))
-
-    parts.append(f"## {TABLE_SECTIONS[1]}\n")
-    reg_rows = []
-    for name, row in sorted(report.get("models", {}).items()):
-        if row.get("family") not in ("regression", "logistic"):
-            continue
-        reg_rows.append(
-            [
-                name,
-                row.get("r2"),
-                row.get("adjusted_r2"),
-                _stat(row.get("f_statistic")),
-                _stat(row.get("durbin_watson")),
-                _stat(row.get("jarque_bera")),
-                _stat(row.get("lagrange_multiplier")),
-                row.get("accuracy"),
-                row.get("validity", {}).get("valid") if "validity" in row else None,
-            ]
-        )
-    parts.append(
-        _md_table(
-            ["model", "R2", "adj R2", "F", "DW", "JB", "LM", "accuracy", "valid"],
-            reg_rows,
-        )
-    )
-
-    parts.append(f"## {TABLE_SECTIONS[2]}\n")
-    cls_rows = [
-        [name, row.get("silhouette"), row.get("accuracy")]
-        for name, row in sorted(report.get("models", {}).items())
-        if row.get("family") == "classifier"
-    ]
-    parts.append(_md_table(["model", "silhouette", "accuracy"], cls_rows))
-
-    parts.append(f"## {TABLE_SECTIONS[3]}\n")
-    ts = report.get("timeseries", {})
-    ts_rows = [
-        ["ADF statistic", _stat(ts.get("adf"))],
-        ["selected order", ts.get("selected_order")],
-        ["selected seasonal order", ts.get("selected_seasonal_order")],
-        ["RMSE", ts.get("rmse")],
-        ["log-likelihood", ts.get("log_likelihood")],
-        ["AIC", ts.get("aic")],
-        ["BIC", ts.get("bic")],
-        ["HQIC", ts.get("hqic")],
-        ["Ljung-Box Q", _stat(ts.get("ljung_box"))],
-        ["skewness", ts.get("skewness")],
-        ["kurtosis", ts.get("kurtosis")],
-        ["Jarque-Bera", _stat(ts.get("jarque_bera"))],
-        ["Durbin-Watson", _stat(ts.get("durbin_watson"))],
-    ]
-    parts.append(_md_table(["quantity", "value"], ts_rows))
-
-    parts.append(f"## {TABLE_SECTIONS[4]}\n")
-    ann = report.get("ann_summary", {})
-    parts.append(_md_table(["attribute", "value"], sorted((k, _fmt(v)) for k, v in ann.items())))
-
-    parts.append(f"## {TABLE_SECTIONS[5]}\n")
-    parts.append(_md_table(*_jaccard_table(report)))
-
-    parts.append(f"## {TABLE_SECTIONS[6]}\n")
-    parts.append(_md_table(*_per_movie_table(report)))
-
+    for heading, build in MARKDOWN_SECTIONS:
+        parts += [f"## {heading}\n", _md_table(*build(report))]
     return "\n".join(parts)
 
 
@@ -170,73 +203,9 @@ def _write_csv(path, headers, rows):
 
 
 def _emit_csv_bundle(report: dict, out_dir: str) -> list[str]:
-    files = []
-    files.append(_write_csv(os.path.join(out_dir, "wald.csv"), *_wald_table(report)))
-    model_rows = []
-    for name, row in sorted(report.get("models", {}).items()):
-        model_rows.append(
-            [
-                name,
-                row.get("family"),
-                row.get("accuracy"),
-                row.get("r2"),
-                row.get("silhouette"),
-                row.get("validity", {}).get("valid") if "validity" in row else "",
-            ]
-        )
-    files.append(
-        _write_csv(
-            os.path.join(out_dir, "models.csv"),
-            ["model", "family", "accuracy", "r2", "silhouette", "valid"],
-            model_rows,
-        )
-    )
-    ts = report.get("timeseries", {})
-    files.append(
-        _write_csv(
-            os.path.join(out_dir, "timeseries.csv"),
-            ["quantity", "value"],
-            [
-                ["adf_statistic", _stat(ts.get("adf"))],
-                ["rmse", ts.get("rmse")],
-                ["log_likelihood", ts.get("log_likelihood")],
-                ["aic", ts.get("aic")],
-                ["bic", ts.get("bic")],
-                ["hqic", ts.get("hqic")],
-                ["ljung_box", _stat(ts.get("ljung_box"))],
-                ["jarque_bera", _stat(ts.get("jarque_bera"))],
-                ["durbin_watson", _stat(ts.get("durbin_watson"))],
-                ["skewness", ts.get("skewness")],
-                ["kurtosis", ts.get("kurtosis")],
-            ],
-        )
-    )
-    files.append(_write_csv(os.path.join(out_dir, "jaccard.csv"), *_jaccard_table(report)))
-    if report.get("per_movie"):
-        files.append(_write_csv(os.path.join(out_dir, "per_movie.csv"), *_per_movie_table(report)))
     series = report.get("series", {})
-    if "loss_curve" in series:
-        files.append(
-            _write_csv(
-                os.path.join(out_dir, "loss_curve.csv"),
-                ["epoch", "loss"],
-                series["loss_curve"],
-            )
-        )
-    if "monthly_metascore" in series:
-        files.append(
-            _write_csv(
-                os.path.join(out_dir, "monthly_metascore.csv"),
-                ["month", "value", "interpolated"],
-                series["monthly_metascore"],
-            )
-        )
-    if "forecast" in series:
-        files.append(
-            _write_csv(
-                os.path.join(out_dir, "forecast.csv"),
-                ["month", "point", "low", "high"],
-                series["forecast"],
-            )
-        )
-    return files
+    tables = [(name, build(report)) for name, build in CSV_TABLES]
+    tables += [
+        (f"{key}.csv", (headers, series[key])) for key, headers in CSV_SERIES if key in series
+    ]
+    return [_write_csv(os.path.join(out_dir, name), *table) for name, table in tables]

@@ -233,10 +233,13 @@ class TestReportFormats:
             assert json.load(fh) == small_report
 
     def test_emit_csv_bundle(self, small_report, tmp_path):
+        # no ann in the report, so no loss curve; every other file in bundle order
         files = emit_report(small_report, "csv", str(tmp_path))
-        names = {os.path.basename(f) for f in files}
-        assert {"wald.csv", "models.csv", "timeseries.csv", "jaccard.csv",
-                "per_movie.csv", "monthly_metascore.csv", "forecast.csv"} <= names
+        assert [os.path.basename(f) for f in files] == [
+            "wald.csv", "models.csv", "timeseries.csv", "jaccard.csv",
+            "per_movie.csv", "monthly_metascore.csv", "forecast.csv",
+        ]
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(f) for f in files)
         with open(os.path.join(str(tmp_path), "models.csv"), encoding="utf-8") as fh:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "model,family,accuracy,r2,silhouette,valid"
