@@ -145,6 +145,9 @@ def _ingest(config):
 # values, one per row.  fit_and_score adds the validation accuracy.
 
 
+NO_COMPLETE_VALIDATION_ROW = "no validation row carries every feature"
+
+
 def fit_and_score(name, fit_model, config, train, val, binner):
     """Fit one model stage and score the predict it serves on the validation
     partition.  Returns the report row, the other report entries and the
@@ -153,7 +156,7 @@ def fit_and_score(name, fit_model, config, train, val, binner):
     predictor = (row["features"], predict)
     scored = score(name, predictor, val, binner)
     if scored is None:
-        raise ValueError("no validation row carries every feature")
+        raise ValueError(NO_COMPLETE_VALIDATION_ROW)
     confusion, row["accuracy"] = scored
     if name != "logistic":  # a binary model has no ternary confusion matrix
         row["confusion"] = confusion
@@ -223,6 +226,8 @@ def _fit_logistic_model(name, config, train, val, binner):
         return np.where(linear_models.predict(fit, X) >= 0, ClassLabel.HIT, ClassLabel.FLOP)
 
     Xv, kept = feature_rows(val, feats)
+    if not kept:  # before roc_auc, which would blame the classes
+        raise ValueError(NO_COMPLETE_VALIDATION_ROW)
     hit = binner(val.columns["metascore"][kept]) == ClassLabel.HIT
     auc = inference.roc_auc(linear_models.predict_proba(fit, Xv), hit.astype(int))
     wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []

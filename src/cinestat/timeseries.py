@@ -62,11 +62,11 @@ def future_months(series: TimeSeries, horizon: int) -> list[datetime.date]:
 
 
 def _monthly_means(month: np.ndarray, values: np.ndarray, full_range: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per month of ``full_range``, the mean of its non-NaN ``values``, with
+    """Per month of ``full_range``, the mean of its finite ``values``, with
     ``month`` sorted; months without one are linearly interpolated and
     flagged.  Each month's sum is np.add.reduce over its values in row
     order, as np.mean takes it, so the means are np.mean's bit for bit."""
-    present = ~np.isnan(values)
+    present = np.isfinite(values)
     month, values = month[present], values[present]
     if not len(values):
         raise ValueError("no values to aggregate")

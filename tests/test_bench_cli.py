@@ -203,6 +203,23 @@ class TestPipelineSubset:
         with pytest.raises(StageError) as exc:
             run_pipeline(config)
         assert exc.value.stage == model
+        assert str(exc.value.cause) == "no validation row carries every feature"
+
+    def test_infinite_exog_value_is_missing_in_the_monthly_means(self, fixture_csv, tmp_path):
+        # a budget of 1e999 parses as inf; its month's exogenous mean must
+        # leave it out, exactly as if the budget were blank
+        with open(fixture_csv, newline="", encoding="utf-8") as fh:
+            target = next(i for i, row in enumerate(csv.DictReader(fh)) if row["budget"] and row["metascore"])
+        sections = {}
+        for value in ("1e999", ""):
+            def set_budget(i, row, value=value):
+                if i == target:
+                    row["budget"] = value
+            dataset = rewrite_csv(fixture_csv, tmp_path, set_budget)
+            config = RunConfig.from_dict(small_config_dict(dataset, models=["slr"], sarimax_exog=["budget"]))
+            report = run_pipeline(config)
+            sections[value] = (report["timeseries"], report["series"])
+        assert sections["1e999"] == sections[""]
 
     def test_jaccard_table_subset(self, small_report):
         models = [r["model"] for r in small_report["jaccard_table"]]
