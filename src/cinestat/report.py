@@ -92,7 +92,7 @@ def _regression_table(report):
 def _classification_table(report):
     rows = [
         [name, row.get("silhouette"), row.get("accuracy")]
-        for name, row in _models(report, "classifier")
+        for name, row in _models(report, "classifier", "neural")
     ]
     return ["model", "silhouette", "accuracy"], rows
 

@@ -82,7 +82,7 @@ def test_ingest_summary_stdout(monkeypatch):
 # configs/fixture.json` writes it in JSON and in markdown.  ROADMAP items 1-3
 # change report numbers on purpose and will update these hashes.
 ORACLE_JSON_SHA256 = "642969c78fd99526d36f0fc0825eb265c11277ff6bde9dff659c2e6d3f94fc73"
-ORACLE_MARKDOWN_SHA256 = "7145071383670bf10d3b5764f2d6c8edbce42203cfba1436415ed55895e3b625"
+ORACLE_MARKDOWN_SHA256 = "ffdc917c56747e9a623e8ac1472bb91b46c5a93a334fcade63f7d9364b2460e5"
 
 
 def test_full_grid_report_matches_the_oracle(pipeline_runs):
