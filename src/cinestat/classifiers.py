@@ -22,11 +22,9 @@ class KMeansModel:
 
 @dataclass
 class OrdinalSvmModel:
-    feature_names: list[str]
     weights: np.ndarray
     b1: float
     b2: float
-    C: float
     objective_trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -134,7 +132,6 @@ def ordinal_svm_fit(
     C: float = 1.0,
     epochs: int = 200,
     seed: int = DEFAULT_SEED,
-    feature_names: list[str] | None = None,
 ) -> OrdinalSvmModel:
     """All-threshold ordinal hinge fit by stochastic subgradient descent.
 
@@ -151,7 +148,6 @@ def ordinal_svm_fit(
     if present != {0, 1, 2}:
         raise ValueError(f"all three classes must be present, got {sorted(present)}")
     n, p = X.shape
-    feature_names = feature_names or [f"x{j}" for j in range(p)]
 
     # Each step is the array update
     #     gw = w/n - sum_j [hinge_j active] C*s_j*x;  gb_j = [hinge_j active] C*s_j
@@ -208,7 +204,7 @@ def ordinal_svm_fit(
     b1, b2 = sorted([ab1, ab2])
     if b1 == b2:
         b2 = b1 + 1e-9
-    return OrdinalSvmModel(feature_names, avg_w, b1, b2, C, objective_trace=trace)
+    return OrdinalSvmModel(avg_w, b1, b2, objective_trace=trace)
 
 
 def ordinal_svm_predict(model: OrdinalSvmModel, X) -> np.ndarray:

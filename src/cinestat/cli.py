@@ -1,7 +1,7 @@
 """Command-line interface.
 
     cinestat run --config cfg.json --out out/ --format json|md|csv
-    cinestat ingest --input movies.csv [--schema schema.json] --summary
+    cinestat ingest --input movies.csv [--schema schema.json]
     cinestat forecast --config cfg.json [--horizon N]
 
 Exit codes: 0 success, 1 stage failure, 2 configuration error.
@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, check_column_map
 from .data_pipeline import load_movies, split_by_year
 from .pipeline import StageError, fit_and_forecast, run_pipeline, run_stage
 from .report import FORMATS, emit_report
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest_p = sub.add_parser("ingest", help="load a dataset and report a summary")
     ingest_p.add_argument("--input", required=True)
     ingest_p.add_argument("--schema", default=None, help="JSON column-name map")
-    ingest_p.add_argument("--summary", action="store_true")
 
     fc_p = sub.add_parser("forecast", help="run only the time-series stage")
     fc_p.add_argument("--config", required=True)
@@ -58,6 +57,7 @@ def _cmd_ingest(args) -> int:
                 schema = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read schema: {exc}") from exc
+        check_column_map(schema, "schema")
     result = load_movies(args.input, schema)
     table = result.records
     split = split_by_year(table)

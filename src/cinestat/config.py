@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass, field
 
 from .data_pipeline import NUMERIC_FIELDS, make_binner
-
-SEED_ENV_VAR = "CINESTAT_SEED"
 
 # Default per-model attribute lists (the comparison tables' feature sets).
 MLR_FEATURES = [
@@ -37,10 +34,13 @@ SVM_FEATURES_2020 = ["avg_vote", "Action", "Crime", "Drama", "Fantasy", "Mystery
 
 ALL_MODELS = ("slr", "mlr", "logistic", "ridge", "lasso", "kmeans", "svm", "ann")
 
-# Fields that count rows, restarts, epochs or evaluations: each must be >= 1.
-COUNT_FIELDS = (
-    "per_movie_rows", "kmeans_restarts", "svm_epochs", "mlp_max_epochs", "sarimax_max_evaluations",
-)
+# Integer fields with the least value each may take: the seed and the
+# horizon may be 0; the fields that count rows, restarts, epochs or
+# evaluations must be >= 1.
+INTEGER_FIELDS = {
+    "seed": 0, "forecast_horizon": 0, "per_movie_rows": 1, "kmeans_restarts": 1,
+    "svm_epochs": 1, "mlp_max_epochs": 1, "sarimax_max_evaluations": 1,
+}
 
 # The keys of sarimax_grid: (p, d, q)(P, D, Q), each a list of orders to try.
 SARIMAX_ORDERS = "pdqPDQ"
@@ -48,6 +48,14 @@ SARIMAX_ORDERS = "pdqPDQ"
 
 class ConfigError(ValueError):
     pass
+
+
+def check_column_map(column_map, what: str) -> None:
+    """Reject a column-name map that is not a dict from str to str."""
+    if not isinstance(column_map, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in column_map.items()
+    ):
+        raise ConfigError(f"{what} must map column names to column names, got {column_map!r}")
 
 
 @dataclass
@@ -88,12 +96,11 @@ class RunConfig:
             make_binner(flop_upper, neutral_upper)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bin thresholds {list(self.bin_thresholds)}: {exc}") from exc
-        if self.forecast_horizon < 0:
-            raise ConfigError("forecast horizon must be non-negative")
-        for name in COUNT_FIELDS:
+        for name, least in INTEGER_FIELDS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_column_map(self.column_map, "column_map")
         non_numeric = {
             target: source for target, source in self.test_2020_substitutions.items()
             if target not in NUMERIC_FIELDS or source not in NUMERIC_FIELDS
@@ -131,12 +138,6 @@ class RunConfig:
         }
         for name, feats in defaults_2020.items():
             self.features_2020.setdefault(name, list(feats))
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                self.seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

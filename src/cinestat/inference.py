@@ -44,13 +44,9 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def vif(X: DesignMatrix | np.ndarray, names: list[str] | None = None) -> dict[str, float]:
+def vif(X: DesignMatrix) -> dict[str, float]:
     """Variance inflation factor per column; exact collinearity reports inf."""
-    if isinstance(X, DesignMatrix):
-        values, names = X.values, X.column_names
-    else:
-        values = np.asarray(X, dtype=float)
-        names = names or [f"x{j}" for j in range(values.shape[1])]
+    values, names = X.values, X.column_names
     n, p = values.shape
     if p < 2:
         raise ValueError("need at least two columns")
@@ -67,18 +63,13 @@ def vif(X: DesignMatrix | np.ndarray, names: list[str] | None = None) -> dict[st
     return out
 
 
-def univariate_r2(X: DesignMatrix | np.ndarray, y=None, names=None) -> dict[str, float]:
+def univariate_r2(X: DesignMatrix) -> dict[str, float]:
     """Squared Pearson correlation of every column with the target.
 
     Constant columns score 0.  The best single regressor is the argmax
     (ties broken by lexicographic column name, see select_best_regressor).
     """
-    if isinstance(X, DesignMatrix):
-        values, names, y = X.values, X.column_names, X.target
-    else:
-        values = np.asarray(X, dtype=float)
-        names = names or [f"x{j}" for j in range(values.shape[1])]
-        y = np.asarray(y, dtype=float)
+    values, names, y = X.values, X.column_names, X.target
     if y.std() == 0:
         raise ValueError("constant target")
     yc = y - y.mean()
@@ -125,11 +116,11 @@ def jarque_bera(residuals) -> StatTestResult:
     return StatTestResult("jarque_bera", jb, p_value=chi2_sf(jb, 2), df=2)
 
 
-def breusch_godfrey(residuals, X, lags: int) -> StatTestResult:
+def breusch_godfrey(residuals, X: DesignMatrix, lags: int) -> StatTestResult:
     """LM serial-correlation test: n * R^2 of the auxiliary regression of the
     residuals on the original regressors plus zero-filled residual lags."""
     e = np.asarray(residuals, dtype=float)
-    values = X.values if isinstance(X, DesignMatrix) else np.asarray(X, dtype=float)
+    values = X.values
     n, p = values.shape
     if n <= p + lags:
         raise ValueError("too few observations for the requested lags")

@@ -275,10 +275,7 @@ def _fit_kmeans(name, config, train, val, binner):
 def _fit_svm(name, config, train, val, binner):
     feats = config.features[name]
     scale, Xt, yt = _scaled_training(feats, train, binner)
-    model = classifiers.ordinal_svm_fit(
-        Xt, yt, C=config.svm_C, epochs=config.svm_epochs, seed=config.seed,
-        feature_names=feats,
-    )
+    model = classifiers.ordinal_svm_fit(Xt, yt, C=config.svm_C, epochs=config.svm_epochs, seed=config.seed)
     Xv = scale(feature_rows(val, feats)[0])
     row = {
         "family": "classifier",

@@ -138,7 +138,7 @@ def _adf_p_value(stat: float) -> float:
     return float(min(max(10.0**logp, 1e-6), 0.999))
 
 
-def adf_test(series, max_lag: int | None = None) -> StatTestResult:
+def adf_test(series) -> StatTestResult:
     """Augmented Dickey-Fuller regression with constant; the statistic is the
     t-ratio of the lagged level, judged against the 5% critical value -2.86."""
     from .numerics import least_squares
@@ -147,7 +147,7 @@ def adf_test(series, max_lag: int | None = None) -> StatTestResult:
     n = y.shape[0]
     if n < 20:
         raise ValueError("need at least 20 observations")
-    lag = max_lag if max_lag is not None else int(12 * (n / 100.0) ** 0.25)
+    lag = int(12 * (n / 100.0) ** 0.25)
     dy = np.diff(y)
     rows = n - 1 - lag
     if rows <= lag + 3:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from cinestat.cli import main
-from cinestat.config import ConfigError, RunConfig, SEED_ENV_VAR
+from cinestat.config import ConfigError, RunConfig
 from cinestat.pipeline import StageError, run_pipeline
 from cinestat.report import FORMATS, TABLE_SECTIONS, emit_report, report_json, report_markdown
 
@@ -77,6 +77,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, **{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "forecast_horizon"])
+    @pytest.mark.parametrize("value", [-1, True, 2.5, "abc"])
+    def test_seed_or_horizon_negative_or_not_int(self, fixture_csv, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, **{field: value})
+
+    @pytest.mark.parametrize("column_map", [["x"], "title", {"title": 1}, {1: "title"}])
+    def test_column_map_not_str_to_str(self, fixture_csv, column_map):
+        with pytest.raises(ConfigError):
+            RunConfig(dataset=fixture_csv, column_map=column_map)
+
     @pytest.mark.parametrize("subs", [{"Drama": "avg_vote"}, {"avg_vote": "Drama"}])
     def test_non_numeric_substitution(self, fixture_csv, subs):
         with pytest.raises(ConfigError):
@@ -114,15 +125,6 @@ class TestConfig:
     def test_unknown_model(self, fixture_csv):
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, models=["slr", "forest"])
-
-    def test_seed_env_override(self, fixture_csv, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert RunConfig(dataset=fixture_csv, seed=0).seed == 99
-
-    def test_bad_seed_env(self, fixture_csv, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError):
-            RunConfig(dataset=fixture_csv)
 
     def test_defaults_populated(self, fixture_csv):
         cfg = RunConfig(dataset=fixture_csv)
@@ -346,11 +348,34 @@ class TestCli:
         assert "pipeline failure" in capsys.readouterr().err
 
     def test_ingest_summary(self, fixture_csv, capsys):
-        assert main(["ingest", "--input", fixture_csv, "--summary"]) == 0
+        assert main(["ingest", "--input", fixture_csv]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["rows"] == 200
         assert summary["train"] + summary["validation"] + summary["excluded_pre_1990"] <= 200
         assert "Drama" in summary["genres"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"forecast_horizon": 2.5},
+            {"forecast_horizon": True},
+            {"seed": 1.5},
+            {"seed": "abc"},
+            {"seed": -1},
+            {"column_map": ["x"]},
+        ],
+    )
+    def test_bad_config_value_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
+        cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, **overrides))
+        assert main(["forecast", "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema", [[1, 2], {"title": 3}])
+    def test_ingest_bad_schema_exit_2(self, fixture_csv, tmp_path, capsys, schema):
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema))
+        assert main(["ingest", "--input", fixture_csv, "--schema", str(schema_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_ingest_missing_file_exit_1(self, capsys):
         assert main(["ingest", "--input", "/nonexistent.csv"]) == 1
@@ -363,9 +388,3 @@ class TestCli:
         assert len(lines) == 3
         month, point, low, high = lines[1].split(",")
         assert float(low) <= float(point) <= float(high)
-
-    def test_seed_env_respected_by_cli(self, fixture_csv, tmp_path, monkeypatch):
-        # the env override reaches the pipeline config
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
-        cfg = RunConfig.from_dict(small_config_dict(fixture_csv, seed=0))
-        assert cfg.seed == 7

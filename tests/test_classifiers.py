@@ -161,12 +161,12 @@ class TestOrdinalSvm:
         assert model.objective_trace[-1] == pytest.approx(ref, rel=1e-9)
 
     def test_prediction_rule(self):
-        model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)
+        model = OrdinalSvmModel(np.array([1.0]), b1=-1.0, b2=1.0)
         preds = ordinal_svm_predict(model, [[-2.0], [0.0], [2.0]])
         assert preds.tolist() == [ClassLabel.FLOP, ClassLabel.NEUTRAL, ClassLabel.HIT]
 
     def test_boundary_inclusive_on_upper_side(self):
-        model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)
+        model = OrdinalSvmModel(np.array([1.0]), b1=-1.0, b2=1.0)
         assert ordinal_svm_predict(model, [[1.0]]) == [ClassLabel.HIT]
         assert ordinal_svm_predict(model, [[-1.0]]) == [ClassLabel.NEUTRAL]
 
@@ -181,10 +181,10 @@ class TestOrdinalSvm:
         with pytest.raises(ValueError):
             ordinal_svm_fit(X, labels, C=0.0)
         with pytest.raises(ValueError):
-            OrdinalSvmModel(["x"], np.array([1.0]), b1=1.0, b2=1.0, C=1.0)
+            OrdinalSvmModel(np.array([1.0]), b1=1.0, b2=1.0)
 
     def test_column_mismatch_on_predict(self):
-        model = OrdinalSvmModel(["x"], np.array([1.0]), b1=-1.0, b2=1.0, C=1.0)
+        model = OrdinalSvmModel(np.array([1.0]), b1=-1.0, b2=1.0)
         with pytest.raises(ValueError):
             ordinal_svm_predict(model, [[1.0, 2.0]])
 

@@ -87,7 +87,7 @@ class TestLoadMovies:
         result = load_movies(path)
         assert result.records.title.tolist() == ["A"]
         assert result.dropped == 4
-        assert main(["ingest", "--input", path, "--summary"]) == 0
+        assert main(["ingest", "--input", path]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["rows"], summary["dropped"]) == (1, 4)
 
@@ -96,7 +96,7 @@ class TestLoadMovies:
         result = load_movies(path)
         assert len(result.records) == 1
         assert result.dropped == 1
-        assert main(["ingest", "--input", path, "--summary"]) == 0
+        assert main(["ingest", "--input", path]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["rows"], summary["dropped"]) == (1, 1)
 

@@ -74,7 +74,7 @@ def test_ingest_summary_stdout(monkeypatch):
     monkeypatch.chdir(ROOT)
     out = StringIO()
     with redirect_stdout(out):
-        assert main(["ingest", "--input", DATASET, "--summary"]) == 0
+        assert main(["ingest", "--input", DATASET]) == 0
     assert out.getvalue().encode("utf-8") == golden("ingest_summary.json")
 
 
@@ -85,12 +85,19 @@ ORACLE_JSON_SHA256 = "642969c78fd99526d36f0fc0825eb265c11277ff6bde9dff659c2e6d3f
 ORACLE_MARKDOWN_SHA256 = "ffdc917c56747e9a623e8ac1472bb91b46c5a93a334fcade63f7d9364b2460e5"
 
 
-def test_full_grid_report_matches_the_oracle(pipeline_runs):
-    report = copy.deepcopy(pipeline_runs[0][0])
-    # the shared runs read the fixture by its absolute path
+def full_grid_digests(report) -> tuple[str, str]:
+    """SHA-256 of a full-grid fixture report in JSON and in markdown."""
+    report = copy.deepcopy(report)
+    # the shared run reads the fixture by its absolute path
     report["config"]["dataset"] = DATASET
-    assert hashlib.sha256(report_json(report).encode("utf-8")).hexdigest() == ORACLE_JSON_SHA256
-    assert hashlib.sha256(report_markdown(report).encode("utf-8")).hexdigest() == ORACLE_MARKDOWN_SHA256
+    return tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (report_json(report), report_markdown(report))
+    )
+
+
+def test_full_grid_report_matches_the_oracle(full_grid_run):
+    assert full_grid_digests(full_grid_run[0]) == (ORACLE_JSON_SHA256, ORACLE_MARKDOWN_SHA256)
 
 
 def test_2020_holdout_accuracies(golden_report):

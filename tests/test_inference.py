@@ -35,7 +35,7 @@ def dm(values, target, names=None):
 class TestVif:
     def test_orthogonal_columns_give_one(self):
         values = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        out = vif(values)
+        out = vif(dm(values, np.zeros(4)))
         assert out["x0"] == pytest.approx(1.0, abs=1e-10)
         assert out["x1"] == pytest.approx(1.0, abs=1e-10)
 
@@ -45,19 +45,19 @@ class TestVif:
         e1 = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
         e2 = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         values = np.column_stack([e1, 0.8 * e1 + 0.6 * e2])
-        out = vif(values)
+        out = vif(dm(values, np.zeros(4)))
         assert out["x0"] == pytest.approx(1.0 / 0.36, abs=1e-8)
         assert out["x1"] == pytest.approx(1.0 / 0.36, abs=1e-8)
 
     def test_exact_collinearity_is_inf(self):
         col = np.arange(5.0)
-        out = vif(np.column_stack([col, 2.0 * col + 1.0]))
+        out = vif(dm(np.column_stack([col, 2.0 * col + 1.0]), np.zeros(5)))
         assert out["x0"] == float("inf")
         assert out["x1"] == float("inf")
 
     def test_single_column_rejected(self):
         with pytest.raises(ValueError):
-            vif(np.ones((4, 1)))
+            vif(dm(np.ones((4, 1)), np.zeros(4)))
 
 
 class TestUnivariateR2:
@@ -65,7 +65,7 @@ class TestUnivariateR2:
         x_perf = np.array([1.0, 2.0, 3.0, 4.0])
         x_const = np.ones(4)
         y = np.array([2.0, 4.0, 6.0, 8.0])
-        out = univariate_r2(np.column_stack([x_perf, x_const]), y)
+        out = univariate_r2(dm(np.column_stack([x_perf, x_const]), y))
         assert out["x0"] == pytest.approx(1.0)
         assert out["x1"] == 0.0
 
@@ -73,14 +73,14 @@ class TestUnivariateR2:
         rng = np.random.default_rng(17)
         values = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        out = univariate_r2(values, y)
+        out = univariate_r2(dm(values, y))
         for j in range(3):
             r = stats.pearsonr(values[:, j], y).statistic
             assert out[f"x{j}"] == pytest.approx(r * r, abs=1e-12)
 
     def test_constant_target_rejected(self):
         with pytest.raises(ValueError):
-            univariate_r2(np.eye(3), np.ones(3))
+            univariate_r2(dm(np.eye(3), np.ones(3)))
 
     def test_select_best_lexicographic_tie(self):
         assert select_best_regressor({"b": 0.5, "a": 0.5, "c": 0.2}) == "a"
@@ -186,7 +186,7 @@ class TestBreuschGodfrey:
 
     def test_too_many_lags(self):
         with pytest.raises(ValueError):
-            breusch_godfrey(np.zeros(5), np.ones((5, 2)), lags=3)
+            breusch_godfrey(np.zeros(5), dm(np.ones((5, 2)), np.zeros(5)), lags=3)
 
 
 class TestFStatistic:
