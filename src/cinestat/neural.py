@@ -3,7 +3,6 @@ output, cross-entropy loss, Adam updates, and validation early stopping."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,22 +59,31 @@ def mlp_init(seed: int, layer_sizes: tuple[int, int, int] = DEFAULT_LAYERS) -> M
     )
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and output probabilities, each computed in place
+    on its fresh matmul output."""
+    hidden = X @ model.W1
+    hidden += model.b1
+    # sigmoid: 1 / (1 + exp(-z)), z clipped to +-500
+    np.clip(hidden, -500, 500, out=hidden)
+    np.negative(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(1.0, hidden, out=hidden)
+    # softmax, shifted by the row max
+    P = hidden @ model.W2
+    P += model.b2
+    P -= P.max(axis=1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    return hidden, P
 
 
 def mlp_forward(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"expected {model.layer_sizes[0]} input columns, got {X.shape[1]}")
-    hidden = _sigmoid(X @ model.W1 + model.b1)
-    return _softmax(hidden @ model.W2 + model.b2)
+    return _forward(model, X)[1]
 
 
 def one_hot(labels) -> np.ndarray:
@@ -87,8 +95,11 @@ def mlp_loss(model: MlpModel, X, onehot_labels) -> float:
     Y = np.asarray(onehot_labels, dtype=float)
     if Y.ndim != 2 or not np.all((Y == 0) | (Y == 1)) or not np.all(Y.sum(axis=1) == 1):
         raise ValueError("labels must be one-hot")
-    P = np.clip(mlp_forward(model, X), 1e-15, 1.0)
-    return float(-np.sum(Y * np.log(P)) / Y.shape[0])
+    P = mlp_forward(model, X)
+    np.clip(P, 1e-15, 1.0, out=P)
+    np.log(P, out=P)
+    P *= Y
+    return float(-np.sum(P) / Y.shape[0])
 
 
 def mlp_gradients(model: MlpModel, X, onehot_labels):
@@ -96,13 +107,15 @@ def mlp_gradients(model: MlpModel, X, onehot_labels):
     (W1, b1, W2, b2)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(onehot_labels, dtype=float)
-    n = X.shape[0]
-    hidden = _sigmoid(X @ model.W1 + model.b1)
-    P = _softmax(hidden @ model.W2 + model.b2)
-    d_out = (P - Y) / n
+    hidden, d_out = _forward(model, X)
+    d_out -= Y
+    d_out /= X.shape[0]
     gW2 = hidden.T @ d_out
     gb2 = d_out.sum(axis=0)
-    d_hidden = (d_out @ model.W2.T) * hidden * (1.0 - hidden)
+    d_hidden = d_out @ model.W2.T
+    d_hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    d_hidden *= hidden
     gW1 = X.T @ d_hidden
     gb1 = d_hidden.sum(axis=0)
     return [gW1, gb1, gW2, gb2]
@@ -111,13 +124,20 @@ def mlp_gradients(model: MlpModel, X, onehot_labels):
 def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
     """Adam training with a deterministic per-epoch shuffle and early stopping
     on a held-out validation score (negative cross-entropy); returns
-    (trained model, trace)."""
+    (trained model, trace).  The trained weights are views of one flat
+    parameter vector, which each minibatch updates in place."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=int)
     n = X.shape[0]
     if n < 50:
         raise ValueError("need at least 50 training samples")
-    model = copy.deepcopy(model)
+    # W1, b1, W2 and b2 become reshaped views of one flat vector theta
+    params = model.parameters()
+    theta = np.concatenate(params, axis=None)
+    parts = np.split(theta, np.cumsum([p.size for p in params])[:-1])
+    model = MlpModel(
+        model.layer_sizes, *(part.reshape(p.shape) for part, p in zip(parts, params)), model.seed
+    )
 
     split_rng = np.random.default_rng(model.seed)
     order = split_rng.permutation(n)
@@ -125,30 +145,29 @@ def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
     train_idx, val_idx = order[:-n_val], order[-n_val:]
     Xt, yt = X[train_idx], y[train_idx]
     Xv, yv = X[val_idx], y[val_idx]
-    Yt = one_hot(yt)
+    Yt, Yv = one_hot(yt), one_hot(yv)
 
-    m = [np.zeros_like(p) for p in model.parameters()]
-    v = [np.zeros_like(p) for p in model.parameters()]
+    # Adam's moments, flat in theta's layout
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     t = 0
     trace = TrainTrace()
     best_score = -np.inf
-    best_params = None
+    best_theta = None
     stall = 0
 
     for epoch in range(1, max_epochs + 1):
         shuffle = np.random.default_rng(np.random.SeedSequence([model.seed, epoch]))
         idx = shuffle.permutation(len(Xt))
+        Xe, Ye = Xt[idx], Yt[idx]
         for start in range(0, len(Xt), BATCH_SIZE):
-            batch = idx[start : start + BATCH_SIZE]
-            grads = mlp_gradients(model, Xt[batch], Yt[batch])
+            batch = slice(start, start + BATCH_SIZE)
+            g = np.concatenate(mlp_gradients(model, Xe[batch], Ye[batch]), axis=None)
             t += 1
-            params = model.parameters()
-            for k, g in enumerate(grads):
-                m[k] = BETA1 * m[k] + (1 - BETA1) * g
-                v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
-                m_hat = m[k] / (1 - BETA1**t)
-                v_hat = v[k] / (1 - BETA2**t)
-                params[k] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += ((1 - BETA2) * g) * g
+            theta -= (LEARNING_RATE * (m / (1 - BETA1**t))) / (np.sqrt(v / (1 - BETA2**t)) + EPS)
 
         loss = mlp_loss(model, Xt, Yt)
         trace.losses.append(loss)
@@ -158,18 +177,18 @@ def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
             break
 
         # negative validation loss: smoother than accuracy on small holdouts
-        score = -mlp_loss(model, Xv, one_hot(yv))
+        score = -mlp_loss(model, Xv, Yv)
         if score > best_score + TOL:
             best_score = score
-            best_params = [p.copy() for p in model.parameters()]
+            best_theta = theta.copy()
             stall = 0
         else:
             stall += 1
         if stall >= PATIENCE:
             break
 
-    if best_params is not None:
-        model.W1, model.b1, model.W2, model.b2 = best_params
+    if best_theta is not None:
+        theta[:] = best_theta
         trace.best_validation_score = best_score
     return model, trace
 
