@@ -171,22 +171,25 @@ def silhouette(X, labels) -> float:
     """Mean silhouette score under Euclidean distance; singletons score 0."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    # a stable sort by label makes each group one slice, its rows in their
+    # original order
+    order = np.argsort(labels, kind="stable")
+    uniq, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     if uniq.size < 2:
         raise ValueError("need at least two distinct labels")
-    n = X.shape[0]
-    scores = np.zeros(n)
-    masks = {u: labels == u for u in uniq}
-    for i in range(n):
-        own = masks[labels[i]]
-        size = int(own.sum())
+    groups = [slice(int(lo), int(lo + size)) for lo, size in zip(starts, sizes)]
+    X = X[order]
+    scores = np.zeros(X.shape[0])
+    for own, size in zip(groups, sizes):
         if size == 1:
             continue
-        # row i of the pairwise distance matrix, O(n*p) memory
-        d = np.sqrt(((X[i] - X) ** 2).sum(axis=1))
-        a = d[own].sum() / (size - 1)
-        b = min(d[masks[u]].mean() for u in uniq if u != labels[i])
-        scores[i] = (b - a) / max(a, b)
+        others = [group for group in groups if group != own]
+        for i in range(own.start, own.stop):
+            # row i of the pairwise distance matrix, O(n*p) memory
+            d = np.sqrt(((X[i] - X) ** 2).sum(axis=1))
+            a = d[own].sum() / (size - 1)
+            b = min(d[group].mean() for group in others)
+            scores[order[i]] = (b - a) / max(a, b)
     return float(scores.mean())
 
 

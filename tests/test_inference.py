@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from cinestat import inference
+from cinestat.config import RunConfig
 from cinestat.data_pipeline import DesignMatrix
 from cinestat.inference import (
     StatTestResult,
@@ -24,6 +26,7 @@ from cinestat.inference import (
     wald_test,
 )
 from cinestat.linear_models import fit_logistic, fit_ols
+from cinestat.pipeline import run_pipeline
 
 
 def dm(values, target, names=None):
@@ -310,6 +313,54 @@ class TestSilhouette:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+def reference_silhouette(X, labels):
+    """The silhouette as first written: a boolean mask per label, gathered
+    from each row's distances."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    scores = np.zeros(X.shape[0])
+    masks = {u: labels == u for u in uniq}
+    for i in range(X.shape[0]):
+        own = masks[labels[i]]
+        size = int(own.sum())
+        if size == 1:
+            continue
+        d = np.sqrt(((X[i] - X) ** 2).sum(axis=1))
+        a = d[own].sum() / (size - 1)
+        b = min(d[masks[u]].mean() for u in uniq if u != labels[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+class TestSilhouetteBitsMatchTheReference:
+    def test_random_groupings(self):
+        rng = np.random.default_rng(21)
+        for case in range(80):
+            n, p, k = int(rng.integers(3, 200)), int(rng.integers(1, 15)), int(rng.integers(2, 6))
+            X = rng.normal(size=(n, p)) * rng.uniform(0.1, 100.0)
+            labels = rng.integers(0, k, n) * 7 - 3  # unsorted, negative and gapped labels
+            if np.unique(labels).size < 2:
+                continue
+            if case % 3 == 0:
+                X = X[:, ::-1]  # a non-contiguous input
+            assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_pipeline_inputs_on_the_fixture(self, fixture_csv, monkeypatch):
+        calls = []
+
+        def recording(X, labels):
+            calls.append((X, labels))
+            return silhouette(X, labels)
+
+        monkeypatch.setattr(inference, "silhouette", recording)
+        grid = {k: [0] for k in "pdqPDQ"}
+        run_pipeline(RunConfig(dataset=fixture_csv, models=["kmeans", "svm"], sarimax_grid=grid))
+        assert len(calls) == 2
+        for X, labels in calls:
+            assert silhouette(X, labels) == reference_silhouette(X, labels)
 
 
 class TestRocAuc:
