@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .config import ConfigError, RunConfig, check_column_map
+from .config import ConfigError, RunConfig, check_string_map
 from .data_pipeline import load_movies, split_by_year
 from .pipeline import StageError, fit_and_forecast, run_pipeline, run_stage
 from .report import FORMATS, emit_report
@@ -57,7 +57,7 @@ def _cmd_ingest(args) -> int:
                 schema = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read schema: {exc}") from exc
-        check_column_map(schema, "schema")
+        check_string_map(schema, "schema")
     result = load_movies(args.input, schema)
     table = result.records
     split = split_by_year(table)

@@ -50,12 +50,16 @@ class ConfigError(ValueError):
     pass
 
 
-def check_column_map(column_map, what: str) -> None:
-    """Reject a column-name map that is not a dict from str to str."""
-    if not isinstance(column_map, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in column_map.items()
+def check_string_map(value, what: str) -> None:
+    """Reject a name map that is not a dict from str to str."""
+    if not isinstance(value, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
     ):
-        raise ConfigError(f"{what} must map column names to column names, got {column_map!r}")
+        raise ConfigError(f"{what} must be a JSON object of strings to strings, got {value!r}")
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
 
 
 @dataclass
@@ -100,7 +104,15 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        check_column_map(self.column_map, "column_map")
+        check_string_map(self.column_map, "column_map")
+        check_string_map(self.test_2020_substitutions, "test_2020_substitutions")
+        for name in ("models", "slr_candidates", "sarimax_exog"):
+            if not _is_string_list(getattr(self, name)):
+                raise ConfigError(f"{name} must be a list of strings, got {getattr(self, name)!r}")
+        for name in ("features", "features_2020"):
+            value = getattr(self, name)
+            if not isinstance(value, dict) or not all(_is_string_list(v) for v in value.values()):
+                raise ConfigError(f"{name} must be a JSON object of lists of strings, got {value!r}")
         non_numeric = {
             target: source for target, source in self.test_2020_substitutions.items()
             if target not in NUMERIC_FIELDS or source not in NUMERIC_FIELDS

@@ -88,6 +88,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset=fixture_csv, column_map=column_map)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("features", []),
+            ("features", {"mlr": "budget"}),
+            ("features", {"mlr": [1]}),
+            ("features_2020", 3),
+            ("features_2020", {"svm": None}),
+            ("test_2020_substitutions", ["x"]),
+            ("test_2020_substitutions", {"avg_vote": ["votes"]}),
+            ("models", "svm"),
+            ("models", {"svm": 1}),
+            ("slr_candidates", "budget"),
+            ("slr_candidates", ["budget", 2]),
+            ("sarimax_exog", "duration"),
+        ],
+    )
+    def test_wrong_json_type_names_the_field(self, fixture_csv, field, value):
+        # a string where a list belongs is not split into characters, and an
+        # object where none belongs is not an AttributeError
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            RunConfig.from_dict({"dataset": fixture_csv, field: value})
+
     @pytest.mark.parametrize("subs", [{"Drama": "avg_vote"}, {"avg_vote": "Drama"}])
     def test_non_numeric_substitution(self, fixture_csv, subs):
         with pytest.raises(ConfigError):
@@ -363,12 +386,25 @@ class TestCli:
             {"seed": "abc"},
             {"seed": -1},
             {"column_map": ["x"]},
+            {"features": []},
+            {"features": {"mlr": "budget"}},
+            {"features_2020": 3},
+            {"test_2020_substitutions": ["x"]},
+            {"models": "svm"},
+            {"slr_candidates": "budget"},
         ],
     )
     def test_bad_config_value_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
         cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, **overrides))
         assert main(["forecast", "--config", cfg_path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_name_in_a_list_is_a_stage_failure(self, fixture_csv, tmp_path, capsys):
+        cfg_path = self._write_config(
+            tmp_path, small_config_dict(fixture_csv, slr_candidates=["budget", "nosuch"])
+        )
+        assert main(["run", "--config", cfg_path]) == 1
+        assert "stage 'slr' failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("schema", [[1, 2], {"title": 3}])
     def test_ingest_bad_schema_exit_2(self, fixture_csv, tmp_path, capsys, schema):
