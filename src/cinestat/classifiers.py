@@ -59,7 +59,8 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for _ in range(KMEANS_MAX_ITER):
         new_assignments, d2 = _assign(X, centroids)
         inertia = float(d2.sum())
-        assert inertia <= prev_inertia + 1e-9 * (1.0 + prev_inertia), "inertia increased"
+        if inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
+            raise RuntimeError(f"k-means inertia increased from {prev_inertia} to {inertia}")
         prev_inertia = inertia
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
@@ -142,8 +143,8 @@ def ordinal_svm_fit(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be a finite number > 0, got {C}")
     present = set(y.tolist())
     if present != {0, 1, 2}:
         raise ValueError(f"all three classes must be present, got {sorted(present)}")

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .config import ConfigError, RunConfig, check_string_map
+from .config import SCHEMA, ConfigError, RunConfig, check_value
 from .data_pipeline import load_movies, split_by_year
 from .pipeline import StageError, fit_and_forecast, run_pipeline, run_stage
 from .report import FORMATS, emit_report
@@ -57,8 +57,8 @@ def _cmd_ingest(args) -> int:
                 schema = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read schema: {exc}") from exc
-        check_string_map(schema, "schema")
-    result = load_movies(args.input, schema)
+        check_value("schema", schema, SCHEMA["column_map"])
+    result = run_stage("ingest", load_movies, args.input, schema)
     table = result.records
     split = split_by_year(table)
     summary = {
@@ -78,7 +78,7 @@ def _cmd_forecast(args) -> int:
     config = RunConfig.from_file(args.config)
     if args.horizon is not None:
         config = dataclasses.replace(config, forecast_horizon=args.horizon)
-    result = load_movies(config.dataset, config.column_map)
+    result = run_stage("ingest", load_movies, config.dataset, config.column_map)
     _, _, rows = run_stage("timeseries", fit_and_forecast, config, result.records)
     print("month,point,low,high")
     for m, p, lo, hi in rows:

@@ -2,45 +2,36 @@
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 from dataclasses import dataclass, field
 
-from .data_pipeline import NUMERIC_FIELDS, make_binner
-
-# Default per-model attribute lists (the comparison tables' feature sets).
-MLR_FEATURES = [
-    "budget", "reviews_from_users", "reviews_from_critics", "top1000_voters_rating",
-    "Action", "Animation", "Crime", "Drama", "Family", "Fantasy", "Horror",
-    "Music", "Musical", "Mystery", "Sport", "Thriller",
-]
-LOGISTIC_FEATURES = [
-    "top1000_voters_rating", "Action", "Crime", "Drama", "Fantasy", "Mystery",
-    "Romance", "Sport", "Thriller", "War",
-]
-SVM_FEATURES = list(LOGISTIC_FEATURES)
-ANN_FEATURES = [
-    "duration", "avg_vote", "Action", "Adventure", "Animation", "Biography",
-    "Comedy", "Crime", "Drama", "Family", "Fantasy", "Horror", "Mystery", "Thriller",
-]
-SLR_CANDIDATES = [
-    "duration", "avg_vote", "votes", "budget", "reviews_from_users",
-    "reviews_from_critics", "top1000_voters_rating",
-]
-
-MLR_FEATURES_2020 = ["duration", "Action", "Animation", "Biography", "Drama", "Horror"]
-LOGISTIC_FEATURES_2020 = ["avg_vote", "Action", "Crime", "Fantasy", "Mystery"]
-SVM_FEATURES_2020 = ["avg_vote", "Action", "Crime", "Drama", "Fantasy", "Mystery", "Thriller"]
+from .data_pipeline import NUMERIC_FIELDS
 
 ALL_MODELS = ("slr", "mlr", "logistic", "ridge", "lasso", "kmeans", "svm", "ann")
 
-# Integer fields with the least value each may take: the seed and the
-# horizon may be 0; the fields that count rows, restarts, epochs or
-# evaluations must be >= 1.
-INTEGER_FIELDS = {
-    "seed": 0, "forecast_horizon": 0, "per_movie_rows": 1, "kmeans_restarts": 1,
-    "svm_epochs": 1, "mlp_max_epochs": 1, "sarimax_max_evaluations": 1,
+_MLR = ["budget", "reviews_from_users", "reviews_from_critics", "top1000_voters_rating", "Action",
+        "Animation", "Crime", "Drama", "Family", "Fantasy", "Horror", "Music", "Musical",
+        "Mystery", "Sport", "Thriller"]
+_LOGISTIC = ["top1000_voters_rating", "Action", "Crime", "Drama", "Fantasy", "Mystery", "Romance",
+             "Sport", "Thriller", "War"]
+# The default attribute lists (the comparison tables' feature sets) of each field that maps
+# models to lists.  Its keys are the models that read the field; a config may name no other.
+DEFAULT_FEATURES = {
+    "features": {
+        "mlr": _MLR, "ridge": _MLR, "lasso": _MLR,
+        "logistic": _LOGISTIC, "kmeans": _LOGISTIC, "svm": _LOGISTIC,
+        "ann": ["duration", "avg_vote", "Action", "Adventure", "Animation", "Biography", "Comedy",
+                "Crime", "Drama", "Family", "Fantasy", "Horror", "Mystery", "Thriller"],
+    },
+    "features_2020": {
+        "mlr": ["duration", "Action", "Animation", "Biography", "Drama", "Horror"],
+        "logistic": ["avg_vote", "Action", "Crime", "Fantasy", "Mystery"],
+        "svm": ["avg_vote", "Action", "Crime", "Drama", "Fantasy", "Mystery", "Thriller"],
+    },
 }
+SLR_CANDIDATES = ["duration", "avg_vote", "votes", "budget", "reviews_from_users",
+                  "reviews_from_critics", "top1000_voters_rating"]
 
 # The keys of sarimax_grid: (p, d, q)(P, D, Q), each a list of orders to try.
 SARIMAX_ORDERS = "pdqPDQ"
@@ -50,16 +41,80 @@ class ConfigError(ValueError):
     pass
 
 
-def check_string_map(value, what: str) -> None:
-    """Reject a name map that is not a dict from str to str."""
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-    ):
-        raise ConfigError(f"{what} must be a JSON object of strings to strings, got {value!r}")
+# The JSON kinds.  Each rule below is a pair: what a value must be, and the
+# test of a value.  A bool is not a number in any of them.
+def _is_number(v, kinds) -> bool:
+    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
-def _is_string_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+def _strings(v, allowed) -> bool:
+    """A list of strings, each one of ``allowed`` unless that is None."""
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(x, str) and (allowed is None or x in allowed) for x in v)
+
+
+def _integer(least: int):
+    return f"an integer >= {least}", lambda v: _is_number(v, int) and v >= least
+
+
+def _string_map(what: str, allowed):
+    return what, lambda v: isinstance(v, dict) and _strings([*v, *v.values()], allowed)
+
+
+def _feature_lists(name: str):
+    models = DEFAULT_FEATURES[name]
+    what = f"a JSON object from {'/'.join(models)} to lists of strings"
+    return what, lambda v: isinstance(v, dict) and _strings(list(v), models) and all(
+        _strings(x, None) for x in v.values())
+
+
+_PENALTY = "a finite number > 0", lambda v: _is_number(v, (int, float)) and 0 < v < math.inf
+_PATH = "a non-empty path string", lambda v: isinstance(v, str) and v != ""
+
+# One rule per RunConfig field.
+SCHEMA = {
+    "dataset": _PATH,
+    "output_dir": _PATH,
+    "column_map": _string_map("a JSON object of strings to strings", None),
+    "models": (f"a list of names from {list(ALL_MODELS)}", lambda v: _strings(v, ALL_MODELS)),
+    "features": _feature_lists("features"),
+    "features_2020": _feature_lists("features_2020"),
+    "slr_candidates": ("a list of strings", lambda v: _strings(v, None)),
+    "bin_thresholds": (
+        "two numbers [flop, neutral] with 0 < flop < neutral <= 100",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+        and all(_is_number(x, (int, float)) for x in v) and 0 < v[0] < v[1] <= 100,
+    ),
+    "seed": _integer(0),
+    "ridge_lambda": _PENALTY,
+    "lasso_lambda": _PENALTY,
+    "svm_C": _PENALTY,
+    "svm_epochs": _integer(1),
+    "kmeans_restarts": _integer(1),
+    "sarimax_grid": (
+        f"a JSON object from {list(SARIMAX_ORDERS)} to non-empty lists of distinct integers >= 0",
+        lambda v: isinstance(v, dict) and set(v) == set(SARIMAX_ORDERS) and all(
+            isinstance(o, (list, tuple)) and all(_is_number(x, int) and x >= 0 for x in o)
+            and 0 < len(set(o)) == len(o) for o in v.values()),
+    ),
+    "sarimax_exog": (
+        "a list of numeric fields or movie_count, each named once",
+        lambda v: _strings(v, (*NUMERIC_FIELDS, "movie_count")) and len(set(v)) == len(v),
+    ),
+    "sarimax_max_evaluations": _integer(1),
+    "forecast_horizon": _integer(0),
+    "mlp_max_epochs": _integer(1),
+    "per_movie_rows": _integer(1),
+    "test_2020": ("null or a non-empty path string", lambda v: v is None or _PATH[1](v)),
+    "test_2020_substitutions": _string_map("a JSON object pairing numeric fields", NUMERIC_FIELDS),
+}
+
+
+def check_value(name: str, value, rule) -> None:
+    """Raise ConfigError, naming ``name``, unless ``value`` passes ``rule``."""
+    what, ok = rule
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -78,9 +133,7 @@ class RunConfig:
     svm_C: float = 1.0
     svm_epochs: int = 50
     kmeans_restarts: int = 10
-    sarimax_grid: dict[str, list[int]] = field(
-        default_factory=lambda: {k: [0, 1] for k in SARIMAX_ORDERS}
-    )
+    sarimax_grid: dict[str, list[int]] = field(default_factory=lambda: {k: [0, 1] for k in SARIMAX_ORDERS})
     sarimax_exog: list[str] = field(default_factory=lambda: ["duration", "movie_count"])
     sarimax_max_evaluations: int = 300
     forecast_horizon: int = 24
@@ -94,62 +147,10 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        self.bin_thresholds = tuple(self.bin_thresholds)
-        try:
-            flop_upper, neutral_upper = self.bin_thresholds
-            make_binner(flop_upper, neutral_upper)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bin thresholds {list(self.bin_thresholds)}: {exc}") from exc
-        for name, least in INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        check_string_map(self.column_map, "column_map")
-        check_string_map(self.test_2020_substitutions, "test_2020_substitutions")
-        for name in ("models", "slr_candidates", "sarimax_exog"):
-            if not _is_string_list(getattr(self, name)):
-                raise ConfigError(f"{name} must be a list of strings, got {getattr(self, name)!r}")
-        for name in ("features", "features_2020"):
-            value = getattr(self, name)
-            if not isinstance(value, dict) or not all(_is_string_list(v) for v in value.values()):
-                raise ConfigError(f"{name} must be a JSON object of lists of strings, got {value!r}")
-        non_numeric = {
-            target: source for target, source in self.test_2020_substitutions.items()
-            if target not in NUMERIC_FIELDS or source not in NUMERIC_FIELDS
-        }
-        if non_numeric:
-            raise ConfigError(f"test_2020_substitutions must pair numeric fields: {non_numeric}")
-        grid = self.sarimax_grid
-        if not isinstance(grid, dict) or sorted(grid) != sorted(SARIMAX_ORDERS):
-            raise ConfigError(f"sarimax_grid must have the keys {list(SARIMAX_ORDERS)}, got {grid!r}")
-        for key, orders in grid.items():
-            if not isinstance(orders, (list, tuple)) or not orders or not all(
-                isinstance(o, int) and not isinstance(o, bool) and o >= 0 for o in orders
-            ):
-                raise ConfigError(f"sarimax_grid[{key!r}] must list integers >= 0, got {orders!r}")
-            if len(set(orders)) != len(orders):
-                raise ConfigError(f"sarimax_grid[{key!r}] repeats an order: {orders!r}")
-        bad_exog = [x for x in self.sarimax_exog if x not in NUMERIC_FIELDS and x != "movie_count"]
-        if bad_exog:
-            raise ConfigError(f"sarimax_exog must name numeric fields or movie_count: {bad_exog}")
-        if len(set(self.sarimax_exog)) != len(self.sarimax_exog):
-            raise ConfigError(f"sarimax_exog repeats a name: {self.sarimax_exog}")
-        unknown = set(self.models) - set(ALL_MODELS)
-        if unknown:
-            raise ConfigError(f"unknown models: {sorted(unknown)}")
-        defaults = {
-            "mlr": MLR_FEATURES, "logistic": LOGISTIC_FEATURES, "svm": SVM_FEATURES,
-            "kmeans": SVM_FEATURES, "ann": ANN_FEATURES, "ridge": MLR_FEATURES,
-            "lasso": MLR_FEATURES,
-        }
-        for name, feats in defaults.items():
-            self.features.setdefault(name, list(feats))
-        defaults_2020 = {
-            "mlr": MLR_FEATURES_2020, "logistic": LOGISTIC_FEATURES_2020,
-            "svm": SVM_FEATURES_2020,
-        }
-        for name, feats in defaults_2020.items():
-            self.features_2020.setdefault(name, list(feats))
+        for name, rule in SCHEMA.items():
+            check_value(name, getattr(self, name), rule)
+        for name, defaults in DEFAULT_FEATURES.items():
+            setattr(self, name, {m: list(f) for m, f in defaults.items()} | getattr(self, name))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -162,13 +163,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = copy.deepcopy(raw)
-        if "dataset" not in raw:
-            raise ConfigError("config must name a dataset")
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # a missing dataset, an unknown key or a non-object config is a TypeError
         try:
             return cls(**raw)
         except TypeError as exc:

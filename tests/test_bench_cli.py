@@ -103,6 +103,19 @@ class TestConfig:
             ("slr_candidates", "budget"),
             ("slr_candidates", ["budget", 2]),
             ("sarimax_exog", "duration"),
+            ("ridge_lambda", "abc"),
+            ("ridge_lambda", float("inf")),
+            ("lasso_lambda", float("nan")),
+            ("svm_C", 0),
+            ("svm_C", True),
+            ("bin_thresholds", [True, 60]),
+            ("dataset", 5),
+            ("dataset", 0),
+            ("output_dir", 7),
+            ("test_2020", 3),
+            ("features", {"mlrr": ["budget"]}),
+            ("features", {"slr": ["votes"]}),
+            ("features_2020", {"ann": ["votes"]}),
         ],
     )
     def test_wrong_json_type_names_the_field(self, fixture_csv, field, value):
@@ -392,6 +405,17 @@ class TestCli:
             {"test_2020_substitutions": ["x"]},
             {"models": "svm"},
             {"slr_candidates": "budget"},
+            {"ridge_lambda": "abc"},
+            {"ridge_lambda": float("inf")},
+            {"lasso_lambda": float("nan")},
+            {"svm_C": 0},
+            {"svm_C": True},
+            {"bin_thresholds": [True, 60]},
+            {"output_dir": 7},
+            {"test_2020": 3},
+            {"features": {"mlrr": ["budget"]}},
+            {"features": {"slr": ["votes"]}},
+            {"features_2020": {"ann": ["votes"]}},
         ],
     )
     def test_bad_config_value_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
@@ -412,6 +436,23 @@ class TestCli:
         schema_path.write_text(json.dumps(schema))
         assert main(["ingest", "--input", fixture_csv, "--schema", str(schema_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "forecast"])
+    def test_load_failure_names_the_ingest_stage(self, fixture_csv, tmp_path, capsys, command):
+        # load_movies runs outside the pipeline here, yet its failure is
+        # reported as the ingest stage's, as `cinestat run` reports it
+        with open(fixture_csv, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+        drop = lines[0].index("date_published")
+        csv_path = tmp_path / "no_date.csv"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([c for i, c in enumerate(line) if i != drop] for line in lines)
+        if command == "ingest":
+            argv = ["ingest", "--input", str(csv_path)]
+        else:
+            argv = ["forecast", "--config", self._write_config(tmp_path, small_config_dict(str(csv_path)))]
+        assert main(argv) == 1
+        assert "pipeline failure: stage 'ingest' failed: header lacks mandatory column" in capsys.readouterr().err
 
     def test_ingest_missing_file_exit_1(self, capsys):
         assert main(["ingest", "--input", "/nonexistent.csv"]) == 1

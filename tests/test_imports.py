@@ -2,9 +2,12 @@
 every function and class it defines is used somewhere in it, and the package
 runs on numpy alone.  Nothing outside a config file and the command line sets
 how it runs: every defaulted parameter is passed by some caller in the
-program, every command-line option is read, and no environment variable is."""
+program, every command-line option is read, and no environment variable is.
+No assert statement can be dropped by ``python -O``, and every config field
+has a rule in the config schema."""
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import pathlib
@@ -149,3 +152,18 @@ def test_cli_imports_no_scipy():
     code = "import sys, cinestat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    # python -O drops every assert, so a check the program relies on raises
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def test_config_schema_has_one_rule_per_field():
+    # a field with no rule would load unchecked
+    from cinestat.config import SCHEMA, RunConfig
+
+    assert sorted(SCHEMA) == sorted(f.name for f in dataclasses.fields(RunConfig))

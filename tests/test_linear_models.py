@@ -119,6 +119,12 @@ class TestLasso:
         fit = fit_lasso(dm(values, np.arange(10.0)), 0.05)
         assert fit.coefficients[0] == 0.0
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        # NaN would soft-threshold every coefficient to NaN and report convergence
+        with pytest.raises(ValueError, match="lambda must be a finite number > 0"):
+            fit_lasso(dm([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), lam)
+
     def test_converged_flag(self):
         fit = fit_lasso(dm([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), 0.1)
         assert fit.converged
