@@ -1,0 +1,114 @@
+"""Alternating before/after runs of one benchmark workload.
+
+Usage: python3 scripts/bench_pairs.py --workload scale_run --pairs 10 [--base HEAD] [--seed 1] [--seconds 35]
+
+Checks the base revision out into a detached git worktree in a temporary
+directory, then runs
+
+    perfbench/run.py --workload W --seed N --seconds S --trace 0
+
+there and in this working tree by turns: the base first in even pairs and
+the working tree first in odd ones, so a drift in the host's speed does not
+favour one side.  Prints each pair's end-to-end metrics as they come and,
+at the end, each side's medians, the interquartile range of the base's
+runs and in how many pairs the working tree did better; the last line is
+all of it as one JSON object.  The worktree is removed on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("run_s", "cpu_s", "peak_rss_mb", "setup_s")  # all lower-is-better
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its closing JSON line."""
+    cmd = [
+        sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        **{name: result["metrics"][name]["value"] for name in METRICS},
+    }
+
+
+def summarize(pairs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        base = [p["base"][name] for p in pairs]
+        head = [p["head"][name] for p in pairs]
+        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) >= 2 else (base[0], None, base[0])
+        out[name] = {
+            "base_median": statistics.median(base),
+            "head_median": statistics.median(head),
+            "base_iqr": q3 - q1,
+            "head_better_pairs": sum(h < b for b, h in zip(base, head)),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=35.0)
+    args = parser.parse_args(argv)
+
+    base_rev = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    trees = {"head": ROOT}
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees["base"] = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(trees["base"]), base_rev],
+                       cwd=ROOT, capture_output=True, check=True)
+        try:
+            print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run: base {base_rev[:12]} against the working tree")
+            for k in range(args.pairs):
+                order = ("base", "head") if k % 2 == 0 else ("head", "base")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+                pairs.append(pair)
+                print(f"pair {k} ({order[0]} first): " + "  ".join(
+                    f"{name} {pair['base'][name]:.3f} -> {pair['head'][name]:.3f}" for name in METRICS
+                ) + "".join(
+                    f"  [{side}: {pair[side]['failed']} of {pair[side]['attempted']} failed"
+                    f"{'' if pair[side]['correct'] else ', not correct'}]"
+                    for side in ("base", "head") if pair[side]["failed"] or not pair[side]["correct"]
+                ), flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(trees["base"])], cwd=ROOT, capture_output=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    summary = summarize(pairs)
+    for name, s in summary.items():
+        print(f"{name}: median {s['base_median']:.3f} -> {s['head_median']:.3f} "
+              f"(base IQR {s['base_iqr']:.3f}), working tree lower in {s['head_better_pairs']} of {len(pairs)} pairs")
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "base": base_rev, "pairs": pairs, "summary": summary,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -154,52 +154,62 @@ def ordinal_svm_fit(
     #     gw = w/n - sum_j [hinge_j active] C*s_j*x;  gb_j = [hinge_j active] C*s_j
     #     w -= eta*gw;  b -= eta*gb;  avg += (new - avg)/t
     # written with few numpy calls and the same rounding: the thresholds and
-    # their averages are Python floats, (C*s)*x is exactly +-(C*x) and
-    # g - (-(C*x)) is exactly g + C*x, so the rows are scaled by C once; the
-    # two hinge terms stay two updates (one 2*C*x update rounds differently);
-    # ndarray.dot is the same BLAS ddot as `@` at half its call cost, and t
-    # and n are floats (exact below 2**53) because numpy converts a Python int
-    # operand more slowly than a float.
-    rows = list(X)
-    c_rows = list(C * X)
-    signs = [(1.0 if v >= 1 else -1.0, 1.0 if v >= 2 else -1.0) for v in y.tolist()]
+    # their averages are Python floats, and an inactive hinge term is skipped
+    # (b - eta*0.0 is b); (C*s)*x is exactly +-(C*x) and g - (-(C*x)) is
+    # exactly g + C*x, so the rows are scaled by C once; the two hinge terms
+    # stay two updates (one 2*C*x update rounds differently); ndarray.dot is
+    # the same BLAS ddot as `@` at half its call cost; n and eta are 0-d
+    # arrays because numpy takes a slower path for a Python float operand.
+    # The average never feeds back into the iterate, so each step only stores
+    # its iterate and the epoch then advances the average coordinate by
+    # coordinate in Python floats, with the same subtract, divide and add per
+    # step (t counts steps as floats, exact below 2**53).
+    steps = [
+        (row, c_row, 1.0 if v >= 1 else -1.0, 1.0 if v >= 2 else -1.0)
+        for row, c_row, v in zip(X, C * X, y.tolist())
+    ]
     w = np.zeros(p)
     b1, b2 = -1.0, 1.0
     avg_w = np.zeros(p)
     ab1, ab2 = 0.0, 0.0
+    iterates = np.empty((n, p))
     trace: list[float] = []
     rng = np.random.default_rng(seed)
-    n_float = float(n)
+    n_arr = np.array(float(n))
+    eta_arr = np.array(0.0)
     t = 0.0
     for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
+        t_epoch = t
+        for k, i in enumerate(rng.permutation(n).tolist()):
             t += 1.0
             eta = 1.0 / (C * t)
-            gw = w / n_float
-            g1 = g2 = 0.0
-            score = float(rows[i].dot(w))
-            s1, s2 = signs[i]
+            eta_arr[()] = eta
+            row, c_row, s1, s2 = steps[i]
+            gw = w / n_arr
+            score = float(row.dot(w))
             if 1.0 - s1 * (score - b1) > 0.0:
                 if s1 > 0.0:
-                    gw -= c_rows[i]
+                    gw -= c_row
                 else:
-                    gw += c_rows[i]
-                g1 = C * s1
+                    gw += c_row
+                b1 -= eta * (C * s1)
             if 1.0 - s2 * (score - b2) > 0.0:
                 if s2 > 0.0:
-                    gw -= c_rows[i]
+                    gw -= c_row
                 else:
-                    gw += c_rows[i]
-                g2 = C * s2
-            gw *= eta
+                    gw += c_row
+                b2 -= eta * (C * s2)
+            gw *= eta_arr
             w -= gw
-            b1 -= eta * g1
-            b2 -= eta * g2
-            d = w - avg_w
-            d /= t
-            avg_w += d
+            iterates[k] = w
             ab1 += (b1 - ab1) / t
             ab2 += (b2 - ab2) / t
+        for j in range(p):
+            a, tj = float(avg_w[j]), t_epoch
+            for x in iterates[:, j].tolist():
+                tj += 1.0
+                a += (x - a) / tj
+            avg_w[j] = a
         trace.append(_ordinal_objective(X, y, avg_w, [ab1, ab2], C))
 
     b1, b2 = sorted([ab1, ab2])

@@ -282,7 +282,7 @@ def _read_rows(reader, width: int, positions: list[int | None]) -> LoadResult:
         raise ValueError("zero parseable rows")
     numbers = np.frombuffer(numbers, dtype=float).reshape(len(titles), len(NUMERIC_FIELDS))
     row_genre_sets = np.frombuffer(row_genre_sets, dtype=np.int64)
-    used = np.unique(row_genre_sets)
+    used = np.flatnonzero(np.bincount(row_genre_sets, minlength=len(genre_sets)))
     vocabulary = sorted(set().union(*(genre_sets[k] for k in used)))
     column = {g: j for j, g in enumerate(vocabulary)}
     set_matrix = np.zeros((len(genre_sets), len(vocabulary)), dtype=bool)

@@ -145,7 +145,7 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
     separation (coefficient norm blowing up) is flagged via converged=False.
     """
     y = X.target
-    if not set(np.unique(y)) == {0.0, 1.0}:
+    if not set(y.tolist()) == {0.0, 1.0}:
         raise ValueError("target must contain both 0 and 1")
     n = X.n
     Z = np.column_stack([np.ones(n), X.values])

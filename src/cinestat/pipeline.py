@@ -289,7 +289,7 @@ def _fit_svm(name, config, train, val, binner):
 def _predicted_silhouette(X, predicted_labels):
     """Silhouette over predicted-class groupings; None when degenerate."""
     labels = np.asarray(predicted_labels, dtype=int)
-    if np.unique(labels).size < 2:
+    if labels.size == 0 or (labels == labels[0]).all():
         return None
     return inference.silhouette(X, labels)
 

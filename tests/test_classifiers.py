@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from cinestat.classifiers import (
     ordinal_svm_fit,
     ordinal_svm_predict,
 )
-from cinestat.data_pipeline import ClassLabel
+from cinestat.config import RunConfig
+from cinestat.data_pipeline import ClassLabel, load_movies, make_binner, split_by_year
+from cinestat.pipeline import _scaled_training
+
+FIXTURE_CSV = pathlib.Path(__file__).resolve().parents[1] / "src/cinestat/data/movies_fixture.csv"
 
 
 def three_blobs(seed=0, per=30, spread=0.3):
@@ -228,21 +233,57 @@ def reference_svm_fit(X, labels, C, epochs, seed):
     return avg_w, b1, b2, trace, mixed_steps
 
 
+def narrow_middle_data(seed, n):
+    # a narrow middle class keeps the thresholds within one margin of each
+    # other, so class-1 rows pay a +1 and a -1 hinge term in one step
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, size=n)
+    y = np.where(x < -0.3, 0, np.where(x < 0.3, 1, 2))
+    X = np.column_stack([x + rng.normal(0, 0.3, n), rng.normal(size=(n, 3))])
+    return X, [ClassLabel(int(v)) for v in y]
+
+
+def fixture_svm_inputs():
+    """The SVM stage's standardized training rows and labels on the bundled
+    fixture, with the default C, epoch count and seed."""
+    config = RunConfig(dataset=str(FIXTURE_CSV))
+    split = split_by_year(load_movies(config.dataset).records)
+    _, X, y = _scaled_training(config.features["svm"], split.train.scored(), make_binner(*config.bin_thresholds))
+    return X, y, config.svm_C, config.svm_epochs, config.seed
+
+
 class TestOrdinalSvmMatchesReferenceLoop:
+    def assert_same_bits(self, X, labels, C, epochs, seed):
+        w, b1, b2, trace, mixed_steps = reference_svm_fit(X, labels, C, epochs=epochs, seed=seed)
+        model = ordinal_svm_fit(X, labels, C=C, epochs=epochs, seed=seed)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.array([model.b1, model.b2]).tobytes() == np.array([b1, b2]).tobytes()
+        assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+        return mixed_steps
+
     @pytest.mark.parametrize("C", [1.0, 0.37])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_identical(self, C, seed):
-        # a narrow middle class keeps the thresholds within one margin of
-        # each other, so class-1 rows pay a +1 and a -1 hinge term in one step
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-3.0, 3.0, size=120)
-        y = np.where(x < -0.3, 0, np.where(x < 0.3, 1, 2))
-        X = np.column_stack([x + rng.normal(0, 0.3, 120), rng.normal(size=(120, 3))])
-        labels = [ClassLabel(int(v)) for v in y]
-        w, b1, b2, trace, mixed_steps = reference_svm_fit(X, labels, C, epochs=6, seed=seed)
-        assert mixed_steps >= 10
-        model = ordinal_svm_fit(X, labels, C=C, epochs=6, seed=seed)
-        np.testing.assert_array_equal(model.weights, w)
-        assert model.b1 == b1
-        assert model.b2 == b2
-        assert model.objective_trace == trace
+        X, labels = narrow_middle_data(seed, 120)
+        assert self.assert_same_bits(X, labels, C, epochs=6, seed=seed) >= 10
+
+    def test_one_epoch(self):
+        X, labels = narrow_middle_data(2, 120)
+        self.assert_same_bits(X, labels, 1.0, epochs=1, seed=2)
+
+    @pytest.mark.parametrize("C", [1.0, 0.37])
+    def test_row_count_coprime_with_the_others(self, C):
+        # 97 rows, a prime: its epochs share no length factor with the 120-row cases
+        X, labels = narrow_middle_data(3, 97)
+        assert self.assert_same_bits(X, labels, C, epochs=7, seed=3) >= 10
+
+    def test_fixture_svm_stage(self):
+        X, y, C, epochs, seed = fixture_svm_inputs()
+        assert epochs == 50
+        self.assert_same_bits(X, y, C, epochs=epochs, seed=seed)
+
+    def test_zero_epochs(self):
+        X, labels = narrow_middle_data(0, 120)
+        model = ordinal_svm_fit(X, labels, epochs=0)
+        assert model.weights.tobytes() == np.zeros(4).tobytes()
+        assert model.objective_trace == []

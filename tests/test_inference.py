@@ -26,7 +26,7 @@ from cinestat.inference import (
     wald_test,
 )
 from cinestat.linear_models import fit_logistic, fit_ols
-from cinestat.pipeline import run_pipeline
+from cinestat.pipeline import _predicted_silhouette, run_pipeline
 
 
 def dm(values, target, names=None):
@@ -282,6 +282,11 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
             silhouette(np.eye(3), [1, 1, 1])
+
+    @pytest.mark.parametrize("labels", [[], [2], [1, 1, 1]])
+    def test_pipeline_reports_none_for_fewer_than_two_predicted_classes(self, labels):
+        X = np.arange(3.0 * len(labels)).reshape(len(labels), 3)
+        assert _predicted_silhouette(X, labels) is None
 
     def test_equals_dense_distance_matrix_reference(self):
         # the per-row distances must give the float result of the full
