@@ -9,10 +9,12 @@ directory, then runs
 
 there and in this working tree by turns: the base first in even pairs and
 the working tree first in odd ones, so a drift in the host's speed does not
-favour one side.  Prints each pair's end-to-end metrics as they come and,
-at the end, each side's medians, the interquartile range of the base's
-runs and in how many pairs the working tree did better; the last line is
-all of it as one JSON object.  The worktree is removed on exit.
+favour one side.  Prints each pair's end-to-end metrics as they come, and
+whether the two sides wrote the same output (the ``output_sha256`` of each
+run's results file); at the end, each side's medians, the interquartile
+range of the base's runs and in how many pairs the working tree did better;
+the last line is all of it as one JSON object.  The worktree is removed on
+exit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ METRICS = ("run_s", "cpu_s", "peak_rss_mb", "setup_s")  # all lower-is-better
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its closing JSON line."""
+    """One ``perfbench/run.py`` run in ``tree``: its closing JSON line and the
+    hashes of the output it wrote."""
     cmd = [
         sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -39,7 +42,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    written = json.loads((tree / ".perfbench_out" / workload / f"seed{seed}" / "results-trace0.json").read_text())
     return {
+        "output_sha256": written["output_sha256"],
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -88,8 +93,10 @@ def main(argv=None) -> int:
                 pair = {"first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+                pair["same_output"] = pair["base"]["output_sha256"] == pair["head"]["output_sha256"]
                 pairs.append(pair)
-                print(f"pair {k} ({order[0]} first): " + "  ".join(
+                same = "same output" if pair["same_output"] else "outputs differ"
+                print(f"pair {k} ({order[0]} first, {same}): " + "  ".join(
                     f"{name} {pair['base'][name]:.3f} -> {pair['head'][name]:.3f}" for name in METRICS
                 ) + "".join(
                     f"  [{side}: {pair[side]['failed']} of {pair[side]['attempted']} failed"

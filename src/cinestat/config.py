@@ -61,11 +61,18 @@ def _string_map(what: str, allowed):
     return what, lambda v: isinstance(v, dict) and _strings([*v, *v.values()], allowed)
 
 
+# A model's attribute list: the target is never among its own regressors.
+_FEATURE_LIST = (
+    "a non-empty list of distinct strings other than metascore",
+    lambda v: _strings(v, None) and 0 < len(set(v)) == len(v) and "metascore" not in v,
+)
+
+
 def _feature_lists(name: str):
     models = DEFAULT_FEATURES[name]
-    what = f"a JSON object from {'/'.join(models)} to lists of strings"
+    what = f"a JSON object from {'/'.join(models)} to attribute lists, each {_FEATURE_LIST[0]}"
     return what, lambda v: isinstance(v, dict) and _strings(list(v), models) and all(
-        _strings(x, None) for x in v.values())
+        _FEATURE_LIST[1](x) for x in v.values())
 
 
 _PENALTY = "a finite number > 0", lambda v: _is_number(v, (int, float)) and 0 < v < math.inf
@@ -79,7 +86,7 @@ SCHEMA = {
     "models": (f"a list of names from {list(ALL_MODELS)}", lambda v: _strings(v, ALL_MODELS)),
     "features": _feature_lists("features"),
     "features_2020": _feature_lists("features_2020"),
-    "slr_candidates": ("a list of strings", lambda v: _strings(v, None)),
+    "slr_candidates": _FEATURE_LIST,
     "bin_thresholds": (
         "two numbers [flop, neutral] with 0 < flop < neutral <= 100",
         lambda v: isinstance(v, (list, tuple)) and len(v) == 2

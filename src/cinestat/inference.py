@@ -38,7 +38,8 @@ class StatTestResult:
         }
 
 
-def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
+def r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
+    """Coefficient of determination of ``fitted`` against ``y``, about the mean."""
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return 1.0 - ss_res / ss_tot
@@ -58,7 +59,7 @@ def vif(X: DesignMatrix) -> dict[str, float]:
         except RankDeficiencyError:
             out[names[j]] = float("inf")
             continue
-        r2 = _r_squared(values[:, j], others @ beta)
+        r2 = r_squared(values[:, j], others @ beta)
         out[names[j]] = float("inf") if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
     return out
 
@@ -101,17 +102,22 @@ def durbin_watson(residuals) -> StatTestResult:
     return StatTestResult("durbin_watson", dw)
 
 
+def moments(e: np.ndarray) -> tuple[float, float]:
+    """Skewness and kurtosis of ``e``: the third and fourth moments of its
+    standardized values."""
+    sd = e.std()
+    if sd == 0.0:
+        raise ValueError("zero variance")
+    z = (e - e.mean()) / sd
+    return float(np.mean(z**3)), float(np.mean(z**4))
+
+
 def jarque_bera(residuals) -> StatTestResult:
     e = np.asarray(residuals, dtype=float)
     n = e.size
     if n < 4:
         raise ValueError("need at least four residuals")
-    sd = e.std()
-    if sd == 0.0:
-        raise ValueError("zero variance")
-    z = (e - e.mean()) / sd
-    skew = float(np.mean(z**3))
-    kurt = float(np.mean(z**4))
+    skew, kurt = moments(e)
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     return StatTestResult("jarque_bera", jb, p_value=chi2_sf(jb, 2), df=2)
 
@@ -130,24 +136,15 @@ def breusch_godfrey(residuals, X: DesignMatrix, lags: int) -> StatTestResult:
     aux = np.column_stack([np.ones(n), values, lagged])
     beta = least_squares(aux, e)
     # residuals are centered by the auxiliary intercept; R^2 about the mean
-    fitted = aux @ beta
-    ss_tot = float(np.sum((e - e.mean()) ** 2))
-    if ss_tot == 0.0:
-        lm = 0.0
-    else:
-        lm = n * (1.0 - float(np.sum((e - fitted) ** 2)) / ss_tot)
-        lm = max(lm, 0.0)
+    lm = 0.0 if e.std() == 0.0 else max(n * r_squared(e, aux @ beta), 0.0)
     return StatTestResult("breusch_godfrey", lm, p_value=chi2_sf(lm, lags), df=lags)
 
 
-def f_statistic(fit, X: DesignMatrix) -> StatTestResult:
-    """Overall-significance F test for an OLS-family fit with intercept."""
-    from .linear_models import predict
-
-    n, p = X.n, X.p
+def f_statistic(r2: float, n: int, p: int) -> StatTestResult:
+    """Overall-significance F test for an OLS-family fit with intercept, from
+    its R^2 on n rows and p regressors."""
     if n <= p + 1:
         raise ValueError("need n > p+1")
-    r2 = _r_squared(X.target, predict(fit, X))
     if r2 >= 1.0 - 1e-12:
         return StatTestResult("f_statistic", float("inf"), p_value=0.0, df=p)
     f = (r2 / p) / ((1.0 - r2) / (n - p - 1))

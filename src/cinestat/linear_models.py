@@ -53,19 +53,6 @@ class LogisticFit:
         return dict(zip(self.feature_names, self.coefficients.tolist()))
 
 
-def _check_columns(fit, X: DesignMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(X, DesignMatrix):
-        if X.column_names != list(fit.feature_names):
-            raise ValueError(
-                f"column mismatch: fit has {fit.feature_names}, matrix has {X.column_names}"
-            )
-        return X.values
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != len(fit.feature_names):
-        raise ValueError("column mismatch")
-    return X
-
-
 def fit_ols(X: DesignMatrix) -> LinearFit:
     """Least-squares fit with intercept; simple regression is just p = 1."""
     n, p = X.n, X.p
@@ -137,6 +124,19 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
+def _irls_terms(Z: np.ndarray, beta: np.ndarray):
+    """Linear predictor, fitted probabilities and observed information of a
+    logistic fit at ``beta``."""
+    eta = Z @ beta
+    p = _sigmoid(eta)
+    w = np.clip(p * (1.0 - p), 1e-10, None)
+    return eta, p, Z.T @ (Z * w[:, None])
+
+
 def fit_logistic(X: DesignMatrix) -> LogisticFit:
     """Maximum-likelihood logistic fit by IRLS with step halving.
 
@@ -154,10 +154,7 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
     converged = False
     iterations = 0
     for iterations in range(1, LOGISTIC_MAX_ITER + 1):
-        eta = Z @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
-        w = np.clip(p * (1.0 - p), 1e-10, None)
-        info = Z.T @ (Z * w[:, None])
+        _, p, info = _irls_terms(Z, beta)
         step = cholesky_solve(info, Z.T @ (y - p))
         # halve until the likelihood improves
         factor = 1.0
@@ -177,10 +174,7 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
             break
         ll = new_ll
 
-    eta = Z @ beta
-    p = 1.0 / (1.0 + np.exp(-eta))
-    w = np.clip(p * (1.0 - p), 1e-10, None)
-    info = Z.T @ (Z * w[:, None])
+    eta, _, info = _irls_terms(Z, beta)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     return LogisticFit(
@@ -195,15 +189,16 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
 
 
 def predict(fit: LinearFit | LogisticFit, X) -> np.ndarray:
-    """Linear predictor: metascore for a LinearFit, log-odds for a LogisticFit."""
-    values = _check_columns(fit, X)
-    return fit.intercept + values @ fit.coefficients
+    """Linear predictor of the rows of ``X``, its columns in the fit's feature
+    order: metascore for a LinearFit, log-odds for a LogisticFit."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] != len(fit.feature_names):
+        raise ValueError(f"column mismatch: X has {X.shape[1]} columns, the fit {len(fit.feature_names)}")
+    return fit.intercept + X @ fit.coefficients
 
 
 def predict_proba(fit: LogisticFit, X) -> np.ndarray:
-    values = _check_columns(fit, X)
-    eta = fit.intercept + values @ fit.coefficients
-    return 1.0 / (1.0 + np.exp(-eta))
+    return _sigmoid(predict(fit, X))
 
 
 def binned_labels(scores, binner) -> np.ndarray:
@@ -215,4 +210,4 @@ def binned_labels(scores, binner) -> np.ndarray:
 def evaluate_binned(fit: LinearFit, X: DesignMatrix, binner) -> tuple[np.ndarray, float]:
     """Confusion matrix (rows = truth, cols = predicted) and accuracy of a
     continuous metascore fit judged through ternary bins."""
-    return confusion_and_accuracy(binned_labels(predict(fit, X), binner), binned_labels(X.target, binner))
+    return confusion_and_accuracy(binned_labels(predict(fit, X.values), binner), binned_labels(X.target, binner))

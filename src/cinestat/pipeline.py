@@ -164,11 +164,12 @@ def fit_and_score(name, fit_model, config, train, val, binner):
 
 
 def _regression_diagnostics(fit, train_dm):
-    resid = train_dm.target - linear_models.predict(fit, train_dm)
+    fitted = linear_models.predict(fit, train_dm.values)
+    resid = train_dm.target - fitted
     n, p = train_dm.n, train_dm.p
-    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((train_dm.target - train_dm.target.mean()) ** 2))
+    r2 = inference.r_squared(train_dm.target, fitted)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-    f_test = inference.f_statistic(fit, train_dm)
+    f_test = inference.f_statistic(r2, n, p)
     dw = inference.durbin_watson(resid)
     jb = inference.jarque_bera(resid)
     lm = inference.breusch_godfrey(resid, train_dm, lags=min(10, n - p - 2))
@@ -188,8 +189,7 @@ def _regression_diagnostics(fit, train_dm):
 
 
 def _fit_slr(name, config, train, val, binner):
-    candidates = [c for c in config.slr_candidates if c != "metascore"]
-    dm = build_design_matrix(train, candidates, "metascore")
+    dm = build_design_matrix(train, config.slr_candidates, "metascore")
     scores = inference.univariate_r2(dm)
     best = inference.select_best_regressor(scores)
     row, entries, predict = _fit_linear(name, config, train, val, binner, feats=[best])
@@ -370,7 +370,7 @@ def _timeseries_section(config, table):
     resid = fit.residuals
     jb = inference.jarque_bera(resid)
     dw = inference.durbin_watson(resid)
-    z = (resid - resid.mean()) / resid.std()
+    skewness, kurtosis = inference.moments(resid)
     table = {
         "adf": adf.to_dict(),
         "selected_order": list(fit.spec.order),
@@ -385,8 +385,8 @@ def _timeseries_section(config, table):
         "ljung_box": lb.to_dict(),
         "jarque_bera": jb.to_dict(),
         "durbin_watson": dw.to_dict(),
-        "skewness": float(np.mean(z**3)),
-        "kurtosis": float(np.mean(z**4)),
+        "skewness": skewness,
+        "kurtosis": kurtosis,
         "converged": fit.converged,
         "n_interpolated_months": int(series.interpolated.sum()),
     }

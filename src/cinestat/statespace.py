@@ -134,25 +134,17 @@ def expand_polynomials(ar, seasonal_ar, ma, seasonal_ma, s: int):
     Returns (a, m) with the reduced form y_t = sum a_i y_{t-i} + e_t +
     sum m_i e_{t-i}; a and m are coefficient arrays starting at lag 1.
     """
-    ar_poly = np.zeros(len(ar) + 1)
-    ar_poly[0] = 1.0
-    ar_poly[1:] = -np.asarray(ar, dtype=float)
-    sar_poly = np.zeros(s * len(seasonal_ar) + 1)
-    sar_poly[0] = 1.0
-    for i, v in enumerate(seasonal_ar, 1):
-        sar_poly[s * i] = -v
-    full_ar = np.convolve(ar_poly, sar_poly)
+    def product(coeffs, seasonal):
+        # (1 + sum c_i L^i)(1 + sum C_j L^(s j)) from lag 1; the AR side comes negated
+        poly = np.zeros(len(coeffs) + 1)
+        poly[0] = 1.0
+        poly[1:] = coeffs
+        spoly = np.zeros(s * len(seasonal) + 1)
+        spoly[0] = 1.0
+        spoly[s::s] = seasonal
+        return np.convolve(poly, spoly)[1:]
 
-    ma_poly = np.zeros(len(ma) + 1)
-    ma_poly[0] = 1.0
-    ma_poly[1:] = np.asarray(ma, dtype=float)
-    sma_poly = np.zeros(s * len(seasonal_ma) + 1)
-    sma_poly[0] = 1.0
-    for i, v in enumerate(seasonal_ma, 1):
-        sma_poly[s * i] = v
-    full_ma = np.convolve(ma_poly, sma_poly)
-
-    return -full_ar[1:], full_ma[1:]
+    return -product(np.negative(ar), np.negative(seasonal_ar)), product(ma, seasonal_ma)
 
 
 def build_state_space(a: np.ndarray, m: np.ndarray):

@@ -116,6 +116,15 @@ class TestConfig:
             ("features", {"mlrr": ["budget"]}),
             ("features", {"slr": ["votes"]}),
             ("features_2020", {"ann": ["votes"]}),
+            # an empty list, a repeated name or the target among its own regressors
+            *[("features", {model: []}) for model in ("mlr", "ridge", "lasso", "logistic", "kmeans", "svm", "ann")],
+            ("features", {"svm": ["avg_vote", "avg_vote", "Drama"]}),
+            ("features", {"mlr": ["budget", "metascore"]}),
+            ("features_2020", {"logistic": []}),
+            ("features_2020", {"svm": ["avg_vote", "avg_vote"]}),
+            ("slr_candidates", []),
+            ("slr_candidates", ["metascore"]),
+            ("slr_candidates", ["budget", "budget"]),
         ],
     )
     def test_wrong_json_type_names_the_field(self, fixture_csv, field, value):
@@ -416,6 +425,12 @@ class TestCli:
             {"features": {"mlrr": ["budget"]}},
             {"features": {"slr": ["votes"]}},
             {"features_2020": {"ann": ["votes"]}},
+            *[{"features": {model: []}} for model in ("mlr", "ridge", "lasso", "logistic", "kmeans", "svm", "ann")],
+            {"features": {"svm": ["avg_vote", "avg_vote", "Drama"]}},
+            {"features": {"mlr": ["budget", "metascore"]}},
+            {"features_2020": {"svm": ["avg_vote", "avg_vote"]}},
+            {"slr_candidates": []},
+            {"slr_candidates": ["metascore"]},
         ],
     )
     def test_bad_config_value_exit_2(self, fixture_csv, tmp_path, capsys, overrides):

@@ -1,11 +1,12 @@
-"""Every name the package imports is used in the module that imports it,
-every function and class it defines is used somewhere in it, and the package
-runs on numpy alone.  Nothing outside a config file and the command line sets
-how it runs: every defaulted parameter is passed by some caller in the
-program, every command-line option is read, and no environment variable is.
-A run and a forecast leave ``numpy.ma`` unimported.
-No assert statement can be dropped by ``python -O``, and every config field
-has a rule in the config schema."""
+"""The package's modules import one another without a cycle, function-local
+imports included.  Every name the package imports is used in the module that
+imports it, every function and class it defines is used somewhere in it, and
+the package runs on numpy alone.  Nothing outside a config file and the
+command line sets how it runs: every defaulted parameter is passed by some
+caller in the program, every command-line option is read, and no environment
+variable is.  A run and a forecast leave ``numpy.ma`` unimported.  No assert
+statement can be dropped by ``python -O``, and every config field has a rule
+in the config schema."""
 
 import ast
 import dataclasses
@@ -34,6 +35,35 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _package_imports(path) -> set[str]:
+    """The package modules that ``path`` imports, function-local imports included."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+    return modules
+
+
+def test_import_graph_has_no_cycle():
+    # a function-local import hides a cycle from the interpreter, not from the design
+    graph = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
+    acyclic = set()
+
+    def cycle_through(module, stack):
+        if module in stack:
+            return stack[stack.index(module):] + [module]
+        if module not in acyclic:
+            for dep in sorted(graph.get(module, ())):
+                cycle = cycle_through(dep, [*stack, module])
+                if cycle:
+                    return cycle
+            acyclic.add(module)
+        return None
+
+    cycle = next(filter(None, (cycle_through(module, []) for module in sorted(graph))), None)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
 def _referenced(node) -> set[str]:

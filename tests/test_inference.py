@@ -17,6 +17,7 @@ from cinestat.inference import (
     f_statistic,
     jaccard,
     jarque_bera,
+    r_squared,
     regression_validity,
     roc_auc,
     select_best_regressor,
@@ -25,7 +26,7 @@ from cinestat.inference import (
     vif,
     wald_test,
 )
-from cinestat.linear_models import fit_logistic, fit_ols
+from cinestat.linear_models import fit_logistic, fit_ols, predict
 from cinestat.pipeline import _predicted_silhouette, run_pipeline
 
 
@@ -145,9 +146,7 @@ class TestBreuschGodfrey:
     def _fit_resid(values, y):
         X = dm(values, y)
         fit = fit_ols(X)
-        from cinestat.linear_models import predict
-
-        return X, y - predict(fit, X)
+        return X, y - predict(fit, values)
 
     def test_matches_statsmodels_convention_on_ar1_noise(self):
         # strongly autocorrelated residuals must be detected
@@ -198,11 +197,8 @@ class TestFStatistic:
         values = rng.normal(size=(50, 3))
         y = values @ [1.0, 0.5, -0.5] + rng.normal(size=50)
         X = dm(values, y)
-        fit = fit_ols(X)
-        res = f_statistic(fit, X)
-        from cinestat.linear_models import predict
-
-        fitted = predict(fit, X)
+        fitted = predict(fit_ols(X), values)
+        res = f_statistic(r_squared(y, fitted), 50, 3)
         r2 = 1.0 - np.sum((y - fitted) ** 2) / np.sum((y - y.mean()) ** 2)
         ref = (r2 / 3) / ((1 - r2) / (50 - 3 - 1))
         assert res.statistic == pytest.approx(ref)
@@ -211,7 +207,7 @@ class TestFStatistic:
     def test_perfect_fit_infinite(self):
         values = np.arange(8.0).reshape(-1, 1)
         X = dm(values, 2.0 * values[:, 0] + 1.0)
-        res = f_statistic(fit_ols(X), X)
+        res = f_statistic(r_squared(X.target, predict(fit_ols(X), values)), 8, 1)
         assert math.isinf(res.statistic)
         assert res.p_value == 0.0
 
@@ -219,7 +215,7 @@ class TestFStatistic:
         rng = np.random.default_rng(44)
         values = rng.normal(size=(200, 2))
         X = dm(values, rng.normal(size=200))
-        assert f_statistic(fit_ols(X), X).p_value > 0.001
+        assert f_statistic(r_squared(X.target, predict(fit_ols(X), values)), 200, 2).p_value > 0.001
 
 
 class TestWald:

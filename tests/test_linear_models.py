@@ -41,7 +41,7 @@ class TestOls:
         rng = np.random.default_rng(5)
         X = dm(rng.normal(size=(30, 3)), rng.normal(size=30))
         fit = fit_ols(X)
-        resid = X.target - predict(fit, X)
+        resid = X.target - predict(fit, X.values)
         assert abs(resid.sum()) < 1e-8
 
     def test_too_few_rows(self):
@@ -159,7 +159,7 @@ class TestLogistic:
         X = DesignMatrix([], np.zeros((4, 0)), y)
         fit = fit_logistic(X)
         assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-6)
-        p = predict_proba(fit, X)
+        p = predict_proba(fit, X.values)
         np.testing.assert_allclose(p, 0.75, atol=1e-6)
 
     def test_balanced_symmetric_problem(self):
@@ -199,9 +199,8 @@ class TestLogistic:
 class TestPredictHelpers:
     def test_column_mismatch(self):
         fit = LinearFit(0.0, ["a", "b"], [1.0, 2.0])
-        other = dm(np.ones((3, 2)), np.zeros(3), names=["a", "c"])
         with pytest.raises(ValueError):
-            predict(fit, other)
+            predict(fit, np.ones((3, 3)))
 
     def test_plain_array_accepted(self):
         fit = LinearFit(1.0, ["a"], [2.0])
@@ -210,7 +209,7 @@ class TestPredictHelpers:
     def test_proba_bounds(self):
         # overlapping classes keep the fit finite and probabilities interior
         X = dm([-2.0, 1.0, -1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
-        p = predict_proba(fit_logistic(X), X)
+        p = predict_proba(fit_logistic(X), X.values)
         assert np.all((p > 0) & (p < 1))
 
 
