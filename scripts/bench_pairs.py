@@ -2,8 +2,8 @@
 
 Usage: python3 scripts/bench_pairs.py --workload scale_run --pairs 10 [--base HEAD] [--seed 1] [--seconds 35]
 
-Checks the base revision out into a detached git worktree in a temporary
-directory, then runs
+Exports the base revision's committed files (``git archive``) into a
+temporary directory, then runs
 
     perfbench/run.py --workload W --seed N --seconds S --trace 0
 
@@ -13,17 +13,19 @@ favour one side.  Prints each pair's end-to-end metrics as they come, and
 whether the two sides wrote the same output (the ``output_sha256`` of each
 run's results file); at the end, each side's medians, the interquartile
 range of the base's runs and in how many pairs the working tree did better;
-the last line is all of it as one JSON object.  The worktree is removed on
-exit.
+the last line is all of it as one JSON object.  The temporary directory is
+removed on exit; the repository's git state is not touched.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -84,28 +86,25 @@ def main(argv=None) -> int:
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees["base"] = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(trees["base"]), base_rev],
-                       cwd=ROOT, capture_output=True, check=True)
-        try:
-            print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run: base {base_rev[:12]} against the working tree")
-            for k in range(args.pairs):
-                order = ("base", "head") if k % 2 == 0 else ("head", "base")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
-                pair["same_output"] = pair["base"]["output_sha256"] == pair["head"]["output_sha256"]
-                pairs.append(pair)
-                same = "same output" if pair["same_output"] else "outputs differ"
-                print(f"pair {k} ({order[0]} first, {same}): " + "  ".join(
-                    f"{name} {pair['base'][name]:.3f} -> {pair['head'][name]:.3f}" for name in METRICS
-                ) + "".join(
-                    f"  [{side}: {pair[side]['failed']} of {pair[side]['attempted']} failed"
-                    f"{'' if pair[side]['correct'] else ', not correct'}]"
-                    for side in ("base", "head") if pair[side]["failed"] or not pair[side]["correct"]
-                ), flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(trees["base"])], cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        archive = subprocess.run(["git", "archive", "--format=tar", base_rev], cwd=ROOT, capture_output=True, check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(trees["base"], filter="data")
+        print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run: base {base_rev[:12]} against the working tree")
+        for k in range(args.pairs):
+            order = ("base", "head") if k % 2 == 0 else ("head", "base")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+            pair["same_output"] = pair["base"]["output_sha256"] == pair["head"]["output_sha256"]
+            pairs.append(pair)
+            same = "same output" if pair["same_output"] else "outputs differ"
+            print(f"pair {k} ({order[0]} first, {same}): " + "  ".join(
+                f"{name} {pair['base'][name]:.3f} -> {pair['head'][name]:.3f}" for name in METRICS
+            ) + "".join(
+                f"  [{side}: {pair[side]['failed']} of {pair[side]['attempted']} failed"
+                f"{'' if pair[side]['correct'] else ', not correct'}]"
+                for side in ("base", "head") if pair[side]["failed"] or not pair[side]["correct"]
+            ), flush=True)
     summary = summarize(pairs)
     for name, s in summary.items():
         print(f"{name}: median {s['base_median']:.3f} -> {s['head_median']:.3f} "

@@ -159,22 +159,23 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
         # halve until the likelihood improves
         factor = 1.0
         for _ in range(30):
-            cand = beta + factor * step
-            cand_ll = _log_likelihood(Z @ cand, y)
-            if cand_ll >= ll:
+            beta_next = beta + factor * step
+            new_ll = _log_likelihood(Z @ beta_next, y)
+            if new_ll >= ll:
                 break
             factor *= 0.5
-        beta = beta + factor * step
-        new_ll = _log_likelihood(Z @ beta, y)
+        else:
+            beta_next = beta + factor * step
+            new_ll = _log_likelihood(Z @ beta_next, y)
+        beta = beta_next
+        ll, prev_ll = new_ll, ll
         if np.linalg.norm(beta) > SEPARATION_NORM:
             break
-        if abs(new_ll - ll) < LOGISTIC_TOL:
-            ll = new_ll
+        if abs(ll - prev_ll) < LOGISTIC_TOL:
             converged = True
             break
-        ll = new_ll
 
-    eta, _, info = _irls_terms(Z, beta)
+    _, _, info = _irls_terms(Z, beta)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     return LogisticFit(
@@ -184,7 +185,7 @@ def fit_logistic(X: DesignMatrix) -> LogisticFit:
         standard_errors=se,
         converged=converged,
         iterations=iterations,
-        log_likelihood=_log_likelihood(eta, y),
+        log_likelihood=ll,
     )
 
 

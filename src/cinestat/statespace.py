@@ -12,6 +12,10 @@ loading R, which an invertible MA part always reaches; from that step on
 the filter is the ARMA innovations recursion, whose coefficients it reads
 off the companion form (AR from T[:, 0], MA from R[1:]), and each further
 observation costs a few scalar operations instead of an r x r update.
+Before that step, a Riccati step is a handful of numpy calls on r x r
+arrays, and the call overhead, not the arithmetic, sets its cost; the calls
+are the cheapest ones that give the bits of the plain matrix form, which
+``tests/test_statespace_bits.py`` keeps as the reference.
 
 The likelihood is maximized by ``nelder_mead``, the Nelder & Mead (1965)
 downhill simplex, written here so the package needs numpy alone.  It takes
@@ -167,11 +171,16 @@ def stationary_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray | None:
     P = np.outer(R, R)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
-            P_next = P + np.dot(np.dot(A, P), A.T)
-            A = np.dot(A, A)
-            if not np.isfinite(P_next).all():
+            P_next = A.dot(P).dot(A.T)
+            P_next += P
+            A = A.dot(A)
+            # a non-finite entry of P_next makes the change's max non-finite,
+            # so that max screens for one; a finite P_next can still overflow
+            # the change, hence the exact check behind it
+            change = np.abs(P_next - P).max()
+            if not math.isfinite(change) and not np.isfinite(P_next).all():
                 return None
-            if np.abs(P_next - P).max() < 1e-14 * (1.0 + np.abs(P_next).max()):
+            if change < 1e-14 * (1.0 + np.abs(P_next).max()):
                 # the propagated term must actually have died out
                 if np.abs(A).max() > 1e-6:
                     return None
@@ -213,38 +222,61 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     P = initial_covariance(T, R)
     RR = np.outer(R, R)
     n = z.shape[0]
-    v = np.empty(n)
-    F = np.empty(n)
-    s = n
     # A Riccati step is a dozen numpy calls on small arrays, and their call
-    # overhead, not the arithmetic, is its cost.  np.dot with a contiguous
-    # copy of T' costs less to call than ``T @ M @ T.T`` and reaches the same
-    # BLAS product.  The bits stay those of the ``@`` form: T is a companion
-    # matrix, so each entry of T M and of M T' is at most two non-zero
-    # products, one of them by 1 (TestKalmanExactness pins this).  The freeze
-    # test checks the gain before the covariance, since it is the cheaper
-    # test and fails on most steps, and the gain's last entry as a Python
-    # float before the whole vector.  That entry's test is implied by the
-    # vector's, so the freeze step is the one the full rule gives.
+    # overhead, not the arithmetic, is its cost, so each call is the
+    # cheapest one with the same bits.  The scalars v_t and F_t are Python
+    # floats, read with ``item`` and kept in lists until the freeze.  The
+    # gain divides by P[0, 0] as a 0-d array.  ``ndarray.dot`` with a
+    # contiguous copy of T' reaches the BLAS product of ``T @ M @ T.T``
+    # with less overhead, and the bits stay those of the ``@`` form: T is a
+    # companion matrix, so each entry of T M and of M T' is at most two
+    # non-zero products, one of them by 1.  K P[0]' is a one-term matrix
+    # product, which rounds each entry once, as the broadcast multiply does.
+    # The state update stays a separate product from the covariance's: a
+    # joint T [P | a] rounds a differently at small r, since the matrix and
+    # the vector kernels order their sums differently (TestKalmanExactness
+    # and TestKalmanFilterBits pin all of this).
+    #
+    # The freeze test checks the gain before the covariance, since it is the
+    # cheaper test and fails on most steps, and the gain's last entry as a
+    # Python float before the whole vector.  After the gain settles, the
+    # covariance test still fails for some steps, and ``cap`` settles most
+    # of those without max|P_next|: it bounds max|P| from above (inf when
+    # unknown), max|P_next| <= cap + change, and the factor 1 + 1e-15 covers
+    # the three roundings of that bound.  A change at or above the tolerance
+    # the bound gives is at or above the exact one too.  Each shortcut is
+    # implied by the full rule, so the freeze step is the one that rule gives.
     Tt = np.ascontiguousarray(T.T)
-    R_last = float(R[-1])
+    R_last = R.item(-1)
+    v_head = []
+    F_head = []
+    s = n
+    cap = math.inf
     for t in range(n):
-        vt = z[t] - a[0]
-        v[t] = vt
-        F[t] = P[0, 0]
-        K = P[:, 0] / P[0, 0]
-        a = np.dot(T, a + K * vt)
-        P_next = np.dot(np.dot(T, P - K[:, None] * P[0, :]), Tt)
+        vt = z.item(t) - a.item(0)
+        v_head.append(vt)
+        F_head.append(P.item(0))
+        K = P[:, 0] / P[0, 0, ...]
+        a = T.dot(a + K * vt)
+        P_next = T.dot(P - K[:, None].dot(P[:1])).dot(Tt)
         P_next += RR
-        frozen = (
-            abs(K.item(-1) - R_last) < GAIN_TOLERANCE
-            and np.abs(K - R).max() < GAIN_TOLERANCE
-            and np.abs(P_next - P).max() < 1e-12 * (1.0 + np.abs(P_next).max())
-        )
+        frozen = False
+        if abs(K.item(-1) - R_last) < GAIN_TOLERANCE and np.abs(K - R).max() < GAIN_TOLERANCE:
+            change = np.abs(P_next - P).max()
+            cap = (cap + change) * (1.0 + 1e-15)
+            if not change >= 1e-12 * (1.0 + cap):
+                cap = np.abs(P_next).max()
+                frozen = change < 1e-12 * (1.0 + cap)
+        else:
+            cap = math.inf
         P = P_next
         if frozen:
             s = t + 1
             break
+    v = np.empty(n)
+    F = np.empty(n)
+    v[:s] = v_head
+    F[:s] = F_head
     if s == n:
         return v, F, a, P
 

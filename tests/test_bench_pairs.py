@@ -1,0 +1,54 @@
+"""``scripts/bench_pairs.py::summarize``: the numbers a gain claim rests on."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_script()
+
+
+def pairs_of(base_head):
+    """Pairs whose every metric reads the given (base, head) values."""
+    return [
+        {"base": dict.fromkeys(bench_pairs.METRICS, b), "head": dict.fromkeys(bench_pairs.METRICS, h)}
+        for b, h in base_head
+    ]
+
+
+def test_single_pair_has_zero_iqr():
+    summary = bench_pairs.summarize(pairs_of([(1.5, 1.25)]))
+    assert set(summary) == set(bench_pairs.METRICS)
+    for s in summary.values():
+        assert s == {"base_median": 1.5, "head_median": 1.25, "base_iqr": 0.0, "head_better_pairs": 1}
+
+
+def test_iqr_is_the_exclusive_quartile_distance():
+    # statistics.quantiles' default (exclusive) method: for 1, 2, 3, 4 the
+    # quartiles are 1.25 and 3.75
+    summary = bench_pairs.summarize(pairs_of([(4.0, 0.0), (1.0, 0.0), (3.0, 0.0), (2.0, 0.0)]))
+    assert summary["run_s"]["base_iqr"] == pytest.approx(2.5)
+    assert summary["run_s"]["base_median"] == 2.5
+
+
+def test_ties_count_for_neither_side():
+    summary = bench_pairs.summarize(pairs_of([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]))
+    assert summary["run_s"]["head_better_pairs"] == 0
+
+
+def test_head_better_pairs_counts_only_lower_head_values():
+    # lower is better: the head wins pairs 0 and 3, ties pair 1, loses pair 2
+    summary = bench_pairs.summarize(pairs_of([(1.0, 0.9), (1.0, 1.0), (1.0, 1.1), (2.0, 1.0)]))
+    assert summary["run_s"]["head_better_pairs"] == 2
+    assert summary["cpu_s"]["head_better_pairs"] == 2
+    assert summary["run_s"]["head_median"] == pytest.approx(1.0)

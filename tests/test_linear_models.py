@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cinestat import linear_models
 from cinestat.data_pipeline import ClassLabel, DesignMatrix, make_binner
 from cinestat.linear_models import (
     LinearFit,
@@ -194,6 +195,31 @@ class TestLogistic:
     def test_log_likelihood_nonpositive(self):
         X = dm([-2.0, -1.0, 0.5, 2.0], [0.0, 1.0, 0.0, 1.0])
         assert fit_logistic(X).log_likelihood <= 0.0
+
+    @pytest.mark.parametrize("separable", [False, True], ids=["mixed", "separable"])
+    def test_each_log_likelihood_computed_once(self, monkeypatch, separable):
+        # one evaluation at the start and one per IRLS step: the accepted
+        # step's value is reused for the convergence test and returned, and
+        # it is the log-likelihood at the returned coefficients
+        if separable:
+            X = dm([-2.0, -1.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
+        else:
+            rng = np.random.default_rng(41)
+            values = rng.normal(size=(400, 2))
+            eta = 0.5 + 1.5 * values[:, 0] - 2.0 * values[:, 1]
+            X = dm(values, (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-eta))).astype(float))
+        real = linear_models._log_likelihood
+        calls = []
+
+        def counting(eta, y):
+            calls.append(eta)
+            return real(eta, y)
+
+        monkeypatch.setattr(linear_models, "_log_likelihood", counting)
+        fit = fit_logistic(X)
+        assert len(calls) == fit.iterations + 1
+        Z = np.column_stack([np.ones(X.n), X.values])
+        assert fit.log_likelihood == real(Z @ np.r_[fit.intercept, fit.coefficients], X.target)
 
 
 class TestPredictHelpers:
