@@ -12,9 +12,13 @@ the working tree first in odd ones, so a drift in the host's speed does not
 favour one side.  Prints each pair's end-to-end metrics as they come, and
 whether the two sides wrote the same output (the ``output_sha256`` of each
 run's results file); at the end, each side's medians, the interquartile
-range of the base's runs and in how many pairs the working tree did better;
-the last line is all of it as one JSON object.  The temporary directory is
-removed on exit; the repository's git state is not touched.
+range of the base's runs, in how many pairs the working tree did better and
+two verdicts per metric: whether a gain claim holds (the working tree lower
+in at least 9 of every 10 pairs, and the medians further apart than the
+base's IQR) and whether the working tree's median is worse than the base's
+by more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
+base median; the last line is all of it as one JSON object.  The temporary
+directory is removed on exit; the repository's git state is not touched.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("run_s", "cpu_s", "peak_rss_mb", "setup_s")  # all lower-is-better
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -54,17 +59,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def metric_bounds() -> dict[str, float]:
+    """Each end-to-end metric's regression bound in BENCHMARK.json, a fraction
+    of the base median."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
 def summarize(pairs: list[dict]) -> dict:
+    bounds = metric_bounds()
     out = {}
     for name in METRICS:
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) >= 2 else (base[0], None, base[0])
+        base_median, head_median = statistics.median(base), statistics.median(head)
+        wins = sum(h < b for b, h in zip(base, head))  # a tie counts for neither side
         out[name] = {
-            "base_median": statistics.median(base),
-            "head_median": statistics.median(head),
+            "base_median": base_median,
+            "head_median": head_median,
             "base_iqr": q3 - q1,
-            "head_better_pairs": sum(h < b for b, h in zip(base, head)),
+            "head_better_pairs": wins,
+            "claim_met": 10 * wins >= 9 * len(pairs) and base_median - head_median > q3 - q1,
+            "regressed": head_median - base_median > bounds[name] * base_median,
         }
     return out
 
@@ -108,7 +125,9 @@ def main(argv=None) -> int:
     summary = summarize(pairs)
     for name, s in summary.items():
         print(f"{name}: median {s['base_median']:.3f} -> {s['head_median']:.3f} "
-              f"(base IQR {s['base_iqr']:.3f}), working tree lower in {s['head_better_pairs']} of {len(pairs)} pairs")
+              f"(base IQR {s['base_iqr']:.3f}), working tree lower in {s['head_better_pairs']} of {len(pairs)} pairs; "
+              f"gain claim {'met' if s['claim_met'] else 'not met'}, "
+              f"{'worse than' if s['regressed'] else 'within'} the bound")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "base": base_rev, "pairs": pairs, "summary": summary,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime
 import enum
+import itertools
 import math
 import re
 from array import array
@@ -138,10 +139,8 @@ _YEAR_MONTH = re.compile(r"(\d{4})(?:-(\d{1,2}))?")
 _GENRE_SEPARATOR = re.compile(r"[|,;]")
 
 
-def _parse_optional_float(raw: str | None) -> float:
-    """The value of an optional numeric field; NaN when absent or missing."""
-    if raw is None:
-        return math.nan
+def _parse_optional_float(raw: str) -> float:
+    """The value of an optional numeric field; NaN when missing."""
     raw = raw.strip()
     if raw.lower() in _MISSING:
         return math.nan
@@ -156,10 +155,8 @@ def _parse_optional_float(raw: str | None) -> float:
         return math.nan
 
 
-def _parse_date(raw: str | None) -> tuple[datetime.date, int] | None:
-    """The date and its month index, or None when absent or unparseable."""
-    if raw is None:
-        return None
+def _parse_date(raw: str) -> tuple[datetime.date, int] | None:
+    """The date and its month index, or None when blank or unparseable."""
     raw = raw.strip()
     try:
         date = datetime.date.fromisoformat(raw)
@@ -178,19 +175,28 @@ def _parse_date(raw: str | None) -> tuple[datetime.date, int] | None:
 # The fields in the order _read_rows reads them.
 _ROW_FIELDS = MANDATORY_COLUMNS + OPTIONAL_COLUMNS
 
+# Data rows parsed per chunk.  Each chunk is transposed once and parsed a
+# column at a time: a few hundred rows amortise each column pass and keep
+# the chunk's strings small (the traced peak of a 6,000-row load grows by
+# 0.3 MiB at 512 rows and 3.9 MiB at 4,096 over a row at a time; sizes from
+# 128 to 4,096 ran equally fast within noise).
+CHUNK_ROWS = 512
+
 
 def load_movies(path, schema: dict[str, str] | None = None) -> LoadResult:
     """Read a delimited movie file into a MovieTable in one streaming pass.
 
     ``schema`` maps record field names to CSV header names; identity mapping
-    by default.  A repeated header name reads its last column, a short row
-    reads its missing fields as absent and blank lines are skipped, as with
-    ``csv.DictReader``.  Rows whose mandatory fields fail to parse (a
-    duration, vote count or metascore that overflows to infinity among
-    them), or that violate a record invariant, are dropped and counted.
+    by default.  A leading UTF-8 byte-order mark is skipped.  A repeated
+    header name reads its last column and blank lines are skipped, as with
+    ``csv.DictReader``; a short row reads its missing fields as blank, which
+    every field rule reads as it would an absent field.  Rows whose
+    mandatory fields fail to parse (a duration, vote count or metascore that
+    overflows to infinity among them), or that violate a record invariant,
+    are dropped and counted.
     """
     schema = schema or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         try:
@@ -208,75 +214,101 @@ def load_movies(path, schema: dict[str, str] | None = None) -> LoadResult:
         return _read_rows(reader, len(header), [position.get(schema.get(fld, fld)) for fld in _ROW_FIELDS])
 
 
+def _number_column(parse, cells) -> np.ndarray:
+    """``float(parse(cell))`` for every cell, NaN where it raises."""
+    try:
+        return np.fromiter(map(parse, cells), float, len(cells))
+    except (ValueError, OverflowError):
+        value = {}
+        for cell in set(cells):
+            try:
+                value[cell] = float(parse(cell))
+            except (ValueError, OverflowError):
+                value[cell] = math.nan
+        return np.fromiter(map(value.__getitem__, cells), float, len(cells))
+
+
+def _optional_column(cells) -> np.ndarray:
+    """``_parse_optional_float`` of every cell.  Where every cell is blank or
+    plain ASCII [0-9eE.+-], the rule reduces to ``float`` with a blank as
+    NaN (bare ``float`` reads "inf", "-nan" and non-ASCII digits otherwise);
+    elsewhere, and where such a cell still raises, as "-" does, every
+    distinct cell goes through the rule once."""
+    if not _NOT_NUMBER.search("".join(cells)):
+        try:
+            return np.fromiter((float(c) if c else math.nan for c in cells), float, len(cells))
+        except ValueError:
+            pass
+    value = {cell: _parse_optional_float(cell) for cell in set(cells)}
+    return np.fromiter(map(value.__getitem__, cells), float, len(cells))
+
+
 def _read_rows(reader, width: int, positions: list[int | None]) -> LoadResult:
     """Parse the data rows into a MovieTable; ``positions`` gives each
     _ROW_FIELDS column's index in a row, None for an optional column the
-    header lacks.  Date and genre fields repeat, so each distinct one is
-    parsed once."""
+    header lacks.
+
+    Rows are read CHUNK_ROWS at a time and each chunk is parsed a column at
+    a time, then the drop rules run as masks over the chunk.  Date and genre
+    fields repeat, so each distinct one is parsed once for the whole file.
+    """
     j_title, j_year, j_date, j_duration, j_avg_vote, j_votes, j_genres = positions[:7]
     optional = positions[7:]
-    dates_seen: dict[str, tuple[datetime.date, int] | None] = {}
-    genres_seen: dict[str, int] = {}  # genre field -> index into genre_sets
+    date_of: dict[str, datetime.date | None] = {}
+    month_of: dict[str, float] = {}  # NaN for a date that does not parse
+    genres_seen: dict[str, int] = {}  # genre field -> index into genre_sets, -1 if empty
     genre_sets: list[frozenset[str]] = []
-
-    def parse(row):
-        """(title, date and month, genre set index, NUMERIC_FIELDS values),
-        or None for a row to drop."""
-        raw_date, raw_genres = row[j_date], row[j_genres]
-        if raw_date not in dates_seen:
-            dates_seen[raw_date] = _parse_date(raw_date)
-        dated = dates_seen[raw_date]
-        try:
-            year = int(row[j_year])
-            duration = float(row[j_duration])
-            avg_vote = float(row[j_avg_vote])
-            votes = float(row[j_votes])
-            if raw_genres not in genres_seen:
-                genres = frozenset(p.strip() for p in _GENRE_SEPARATOR.split(raw_genres) if p.strip())
-                genres_seen[raw_genres] = len(genre_sets)
-                genre_sets.append(genres)
-        except (TypeError, ValueError):
-            return None
-        genre_set = genres_seen[raw_genres]
-        # duration and votes are whole numbers, so an infinite one does not parse
-        if not (math.isfinite(duration) and math.isfinite(votes)):
-            return None
-        duration, votes = float(int(duration)), float(int(votes))
-        if duration <= 0 or votes < 0 or not 0.0 <= avg_vote <= 10.0:
-            return None
-        if dated is None or not genre_sets[genre_set] or dated[0].year != year:
-            return None
-
-        top1000, budget, users, critics, metascore = [
-            math.nan if j is None else _parse_optional_float(row[j]) for j in optional
-        ]
-        if metascore == metascore:  # not NaN: present
-            if not math.isfinite(metascore) or not 0 <= round(metascore) <= 100:
-                return None
-            metascore = float(round(metascore))
-        if top1000 == top1000 and not 0.0 <= top1000 <= 10.0:
-            return None
-        values = (float(year), duration, avg_vote, votes, top1000, budget, users, critics, metascore)
-        return (row[j_title] or "").strip(), dated, genre_set, values
 
     titles, dates, months, row_genre_sets = [], [], array("q"), array("q")
     numbers = array("d")  # NUMERIC_FIELDS values, one row after another
     dropped = 0
-    for row in reader:
-        if not row:
+    while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in chunk if row]
+        if not rows:
             continue
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        parsed = parse(row)
-        if parsed is None:
-            dropped += 1
-            continue
-        title, (date, month), genre_set, values = parsed
-        titles.append(title)
-        dates.append(date)
-        months.append(month)
-        row_genre_sets.append(genre_set)
-        numbers.extend(values)
+        cells = list(zip(*rows))
+        n = len(rows)
+
+        raw_dates = cells[j_date]
+        for raw in set(raw_dates).difference(month_of):
+            dated = _parse_date(raw)
+            date_of[raw], month_of[raw] = dated or (None, math.nan)
+        raw_genres = cells[j_genres]
+        for raw in set(raw_genres).difference(genres_seen):
+            genres = frozenset(p.strip() for p in _GENRE_SEPARATOR.split(raw) if p.strip())
+            genres_seen[raw] = len(genre_sets) if genres else -1
+            if genres:
+                genre_sets.append(genres)
+        month = np.fromiter(map(month_of.__getitem__, raw_dates), float, n)
+        genre_set = np.fromiter(map(genres_seen.__getitem__, raw_genres), np.int64, n)
+
+        year = _number_column(int, cells[j_year])
+        # duration and votes are whole numbers, so an infinite one does not
+        # parse.  + 0.0 gives the +0.0 that float(int(-0.5)) and
+        # float(round(-0.4)) give where truncating or rounding gives -0.0.
+        duration = np.trunc(_number_column(float, cells[j_duration])) + 0.0
+        avg_vote = _number_column(float, cells[j_avg_vote])
+        votes = np.trunc(_number_column(float, cells[j_votes])) + 0.0
+        top1000, budget, users, critics, metascore = [
+            np.full(n, math.nan) if j is None else _optional_column(cells[j]) for j in optional
+        ]
+        metascore = np.round(metascore) + 0.0
+        keep = (
+            (0 < duration) & (duration < math.inf) & (0 <= votes) & (votes < math.inf)
+            & (0.0 <= avg_vote) & (avg_vote <= 10.0)
+            & (month // 12 == year)  # the date's year; NaN when either fails
+            & (genre_set >= 0)
+            & (np.isnan(metascore) | ((0 <= metascore) & (metascore <= 100)))
+            & (np.isnan(top1000) | ((0.0 <= top1000) & (top1000 <= 10.0)))
+        )
+        kept = keep.tolist()
+        dropped += n - sum(kept)
+        titles.extend(title.strip() for title in itertools.compress(cells[j_title], kept))
+        dates.extend(map(date_of.__getitem__, itertools.compress(raw_dates, kept)))
+        months.frombytes(month[keep].astype(np.int64).tobytes())
+        row_genre_sets.frombytes(genre_set[keep].tobytes())
+        values = np.column_stack((year, duration, avg_vote, votes, top1000, budget, users, critics, metascore))
+        numbers.frombytes(values[keep].tobytes())
 
     if not titles:
         raise ValueError("zero parseable rows")

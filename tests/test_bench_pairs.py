@@ -30,7 +30,8 @@ def test_single_pair_has_zero_iqr():
     summary = bench_pairs.summarize(pairs_of([(1.5, 1.25)]))
     assert set(summary) == set(bench_pairs.METRICS)
     for s in summary.values():
-        assert s == {"base_median": 1.5, "head_median": 1.25, "base_iqr": 0.0, "head_better_pairs": 1}
+        assert s == {"base_median": 1.5, "head_median": 1.25, "base_iqr": 0.0, "head_better_pairs": 1,
+                     "claim_met": True, "regressed": False}
 
 
 def test_iqr_is_the_exclusive_quartile_distance():
@@ -52,3 +53,36 @@ def test_head_better_pairs_counts_only_lower_head_values():
     assert summary["run_s"]["head_better_pairs"] == 2
     assert summary["cpu_s"]["head_better_pairs"] == 2
     assert summary["run_s"]["head_median"] == pytest.approx(1.0)
+
+
+def test_claim_met_with_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
+    # base 1.00-1.09 (IQR 0.0575, median 1.045); head lower in 9 pairs
+    base_head = [(1.0 + k / 100, 0.8) for k in range(9)] + [(1.09, 1.1)]
+    s = bench_pairs.summarize(pairs_of(base_head))["run_s"]
+    assert s["head_better_pairs"] == 9
+    assert s["claim_met"] and not s["regressed"]
+
+
+def test_claim_not_met_with_eight_wins_in_ten():
+    base_head = [(1.0, 0.5)] * 8 + [(1.0, 1.0), (1.0, 1.5)]
+    s = bench_pairs.summarize(pairs_of(base_head))["run_s"]
+    assert s["head_better_pairs"] == 8 and s["base_median"] - s["head_median"] > s["base_iqr"]
+    assert not s["claim_met"]
+
+
+def test_claim_not_met_with_the_gap_inside_the_iqr():
+    # the head wins every pair, by less than the spread of the base's own runs
+    base_head = [(1.0 + k / 10, 0.99 + k / 10) for k in range(10)]
+    s = bench_pairs.summarize(pairs_of(base_head))["run_s"]
+    assert s["head_better_pairs"] == 10 and 0 < s["base_median"] - s["head_median"] < s["base_iqr"]
+    assert not s["claim_met"]
+
+
+def test_regressed_only_beyond_the_bound_in_the_benchmark():
+    bounds = bench_pairs.metric_bounds()
+    assert set(bounds) == set(bench_pairs.METRICS)
+    for name in bench_pairs.METRICS:
+        inside = bench_pairs.summarize(pairs_of([(2.0, 2.0 * (1 + 0.9 * bounds[name]))] * 3))[name]
+        beyond = bench_pairs.summarize(pairs_of([(2.0, 2.0 * (1 + 1.1 * bounds[name]))] * 3))[name]
+        assert not inside["regressed"] and not inside["claim_met"]
+        assert beyond["regressed"]

@@ -2,6 +2,8 @@ import csv
 import datetime
 import io
 import json
+import math
+import pathlib
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from cinestat.cli import main
 from cinestat.data_pipeline import (
+    CHUNK_ROWS,
     ClassLabel,
     SchemaError,
     build_design_matrix,
@@ -99,6 +102,13 @@ class TestLoadMovies:
         assert main(["ingest", "--input", path]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["rows"], summary["dropped"]) == (1, 1)
+
+    def test_byte_order_mark_skipped(self, tmp_path, fixture_csv):
+        # spreadsheet exports often start a UTF-8 file with the bytes EF BB BF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(fixture_csv).read_bytes())
+        assert _table_bytes(load_movies(str(path))) == _table_bytes(load_movies(fixture_csv))
+        assert main(["ingest", "--input", str(path)]) == 0
 
 
 class TestBinarizeMultilabel:
@@ -389,6 +399,16 @@ def _loaded_rows(result):
     return rows
 
 
+def _table_bytes(result):
+    """Everything a LoadResult holds, every array as its bytes."""
+    table = result.records
+    return dict(
+        dropped=result.dropped, title=table.title.tolist(), date_published=table.date_published.tolist(),
+        month=table.month.tobytes(), vocabulary=table.vocabulary, genre_matrix=table.genre_matrix.tobytes(),
+        columns={name: column.tobytes() for name, column in table.columns.items()},
+    )
+
+
 def _row(**fields):
     values = dict(title="A", year="2000", date_published="2000-05-01", duration="100",
                   avg_vote="6.5", votes="1000", genres="Drama", top1000_voters_rating="6.0",
@@ -452,6 +472,21 @@ PARSE_CASES = {
     ),
     "semicolon": _csv_text(_GOOD + [_row(title="s", budget="1,5")], delimiter=";"),
     "tab": _csv_text(_GOOD + [_row(title="t", genres="A, B")], delimiter="\t"),
+    # truncating -0.5 and rounding -0.4 give +0.0, as int() and round() do
+    "signed_zero": _csv_text(_GOOD + [_row(title="v", votes="-0.5"), _row(title="m", metascore="-0.4")]),
+    # a later chunk holds cells for the full optional-number rule, a
+    # dropped row, a blank line and a short row
+    "chunks": _csv_text(
+        [_row(title=f"C{i}", votes=str(i), budget=f"{i}.5") for i in range(CHUNK_ROWS + 10)] + [
+            _row(title="inf_budget", budget="inf"),
+            _row(title="arabic_reviews", reviews_from_users="١٢٣"),
+            _row(title="dropped", duration="0"),
+            [],
+            list(_row(title="short").values())[:9],
+        ] + [_row(title=f"D{i}") for i in range(10)]
+    ),
+    # the only cell outside plain [0-9eE.+-] is a padded number
+    "spaced_optional": _csv_text(_GOOD + [_row(title="s", reviews_from_critics=" 42 ")]),
     "schema_remap": _csv_text(
         _GOOD + [_row(title="r", metascore="N/A")],
         header=[{"title": "movie_name", "metascore": "critic_score"}.get(h, h) for h in _FIELDS],
@@ -470,6 +505,10 @@ class TestParseRules:
         result = load_movies(str(path), schema)
         assert result.dropped == expected_dropped
         assert _loaded_rows(result) == expected_rows
+        # == lets -0.0 pass for 0.0; the bytes do not
+        for name, column in result.records.columns.items():
+            expected = np.array([math.nan if row[name] is None else float(row[name]) for row in expected_rows])
+            assert column.tobytes() == expected.tobytes(), name
 
     def test_cases_exercise_drops_and_missing_values(self, tmp_path):
         path = tmp_path / "edges.csv"
