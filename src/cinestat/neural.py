@@ -9,8 +9,6 @@ import numpy as np
 
 from .inference import confusion_and_accuracy
 
-DEFAULT_LAYERS = (14, 100, 3)
-
 # Adam and early-stopping settings
 LEARNING_RATE = 1e-3
 BETA1 = 0.9
@@ -43,7 +41,7 @@ class TrainTrace:
     diverged: bool = False
 
 
-def mlp_init(seed: int, layer_sizes: tuple[int, int, int] = DEFAULT_LAYERS) -> MlpModel:
+def mlp_init(seed: int, layer_sizes: tuple[int, int, int]) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
     n_in, n_hid, n_out = layer_sizes

@@ -6,6 +6,11 @@ into the companion state-space form.  The innovation variance is
 concentrated out of the likelihood; AR/MA coefficients are kept stationary
 and invertible by optimizing through partial-autocorrelation space.
 
+The forecast is one Kalman prediction recursion for every spec: the fitted
+ARMA state of the differenced series, stacked on the last d + sD values of
+the undifferenced series net of its regressors, which the integration
+carries forward.
+
 The Kalman filter runs in two phases.  It runs the Riccati recursion until
 the predicted covariance stops changing and the gain equals the innovation
 loading R, which an invertible MA part always reaches; from that step on
@@ -84,14 +89,13 @@ class SarimaxFit:
     residuals: np.ndarray  # standardized one-step innovations
     converged: bool
     nobs: int
-    one_step_rmse: float = float("nan")
+    one_step_rmse: float
     # internals carried for forecasting
     _final_state: np.ndarray = field(default=None, repr=False)
     _final_cov: np.ndarray = field(default=None, repr=False)
     _T: np.ndarray = field(default=None, repr=False)
     _R: np.ndarray = field(default=None, repr=False)
-    _diff_tail: tuple = field(default=None, repr=False)
-    _exog_tail: np.ndarray = field(default=None, repr=False)
+    _tail: np.ndarray = field(default=None, repr=False)
 
     def parameter_dict(self) -> dict[str, float]:
         out = {}
@@ -326,35 +330,15 @@ def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     return ll, sigma2, v, F, a, P
 
 
-def difference(y: np.ndarray, d: int, D: int, s: int):
-    """Apply d regular and D seasonal differences along axis 0 (to a series
-    or to the rows of a regressor matrix), keeping the tails needed to
-    invert the transform."""
-    tails = []
+def difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
+    """Apply d regular and D seasonal differences along axis 0, to a series
+    or to the rows of a regressor matrix."""
     w = np.asarray(y, dtype=float)
     for _ in range(d):
-        tails.append(("regular", w.copy()))
         w = np.diff(w, axis=0)
     for _ in range(D):
-        tails.append(("seasonal", w.copy()))
         w = w[s:] - w[:-s]
-    return w, tails
-
-
-def undifference(forecasts: np.ndarray, tails, s: int) -> np.ndarray:
-    """Integrate differenced-scale forecasts back to the original scale."""
-    out = np.asarray(forecasts, dtype=float)
-    for kind, prior in reversed(tails):
-        if kind == "regular":
-            out = prior[-1] + np.cumsum(out)
-        else:
-            history = list(prior[-s:])
-            integrated = []
-            for val in out:
-                integrated.append(history[-s] + val)
-                history.append(integrated[-1])
-            out = np.asarray(integrated)
-    return out
+    return w
 
 
 def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
@@ -493,9 +477,9 @@ def sarimax_fit(
         if exog is None:
             raise ValueError("spec names exogenous series but none were supplied")
         exog = np.asarray(exog, dtype=float).reshape(len(y), nx)
-        wx, _ = difference(exog, d, D, s)
+        wx = difference(exog, d, D, s)
 
-    w, tails = difference(y, d, D, s)
+    w = difference(y, d, D, s)
     n = w.shape[0]
     x0 = np.zeros(spec.n_params - 1)
     *_, T0, _ = model_from_parameters(x0, spec)
@@ -524,6 +508,8 @@ def sarimax_fit(
     if not np.isfinite(ll):
         raise FitError("likelihood is not finite at the optimum")
 
+    start = len(y) - d - s * D  # the last d + sD values of u = y - X beta
+    tail = y[start:] - exog[start:] @ beta if nx else y[start:]
     k = spec.n_params
     aic = 2.0 * k - 2.0 * ll
     bic = k * math.log(n) - 2.0 * ll
@@ -550,34 +536,22 @@ def sarimax_fit(
         _final_cov=P_next,
         _T=T,
         _R=R,
-        _diff_tail=tuple(tails),
-        _exog_tail=exog[len(y) - d - s * D :] if nx else None,
+        _tail=tail,
     )
-
-
-def psi_weights(a: np.ndarray, m: np.ndarray, horizon: int) -> np.ndarray:
-    """MA-representation weights psi_0..psi_{horizon-1} of the ARMA(a, m)."""
-    psi = np.zeros(horizon)
-    if horizon == 0:
-        return psi
-    psi[0] = 1.0
-    for j in range(1, horizon):
-        acc = m[j - 1] if j - 1 < len(m) else 0.0
-        for i in range(1, min(j, len(a)) + 1):
-            acc += a[i - 1] * psi[j - i]
-        psi[j] = acc
-    return psi
 
 
 def sarimax_forecast(fit: SarimaxFit, horizon: int, future_exog: np.ndarray | None = None):
     """Point forecasts with symmetric 95% normal intervals on the original
-    scale.
+    scale, from one Kalman prediction recursion for every spec.
 
-    Future exog is differenced like the fit's exog, stacked under the last
-    observed rows.  For undifferenced specs the variance comes straight from
-    the Kalman prediction recursion (state uncertainty included); for
-    integrated specs it accumulates the psi weights of the full integrated
-    lag polynomial, whose ARMA part is read off the fitted T and R.
+    The state stacks the fitted ARMA state of the differenced series (its
+    last prediction and covariance) on the last K = d + sD values of
+    u = y - X beta, which are known, so they start with zero covariance
+    (Durbin & Koopman 2012, section 3.4).  With 1 - sum_k delta_k B^k =
+    (1 - B)^d (1 - B^s)^D, u_t = w_t + sum_k delta_k u_{t-k}, so the
+    observation vector is Z = [e1', delta'] and the lag block's new entry
+    is the same sum.  Future exog enters undifferenced, as x_future beta,
+    after the mean.  With K = 0 this is the plain ARMA prediction loop.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -592,38 +566,34 @@ def sarimax_forecast(fit: SarimaxFit, horizon: int, future_exog: np.ndarray | No
     if horizon == 0:
         return np.zeros(0), np.zeros((0, 2))
 
-    a = fit._final_state.copy()
-    P = fit._final_cov.copy()
-    T, R = fit._T, fit._R
+    _, d, _ = spec.order
+    _, D, _, s = spec.seasonal_order
+    K = d + s * D
+    r = fit._T.shape[0]
+    # (1 - B)^d (1 - B^s)^D from lag 0, by differencing a padded impulse
+    pad = np.zeros(K)
+    delta = -difference(np.r_[pad, 1.0, pad], d, D, s)[1:]
+    Z = np.r_[1.0, np.zeros(r - 1), delta]
+    T = np.zeros((r + K, r + K))
+    T[:r, :r] = fit._T
+    T[r : r + 1] = Z
+    T[r + 1 :, r:] = np.eye(K)[:-1]
+    R = np.r_[fit._R, pad]
+    a = np.r_[fit._final_state, fit._tail[::-1]]
+    P = np.zeros((r + K, r + K))
+    P[:r, :r] = fit._final_cov
     RR = np.outer(R, R)
-    point_w = np.empty(horizon)
-    var_w = np.empty(horizon)
+    point = np.empty(horizon)
+    var = np.empty(horizon)
     for h in range(horizon):
-        point_w[h] = a[0]
-        var_w[h] = P[0, 0] * fit.sigma2
+        point[h] = Z @ a
+        var[h] = Z @ P @ Z * fit.sigma2
         a = T @ a
         P = T @ P @ T.T + RR
 
-    _, d, _ = spec.order
-    _, D, _, s = spec.seasonal_order
-    point_w = point_w + fit.mean
+    point = point + fit.mean
     if nx:
-        wx_future, _ = difference(np.vstack([fit._exog_tail, future_exog]), d, D, s)
-        point_w = point_w + wx_future @ fit.exog_coef
-
-    if d + D == 0:
-        point = point_w
-        var = var_w
-    else:
-        point = undifference(point_w, fit._diff_tail, s)
-        # (1 - B)^d (1 - B^s)^D times the AR polynomial, by differencing its
-        # zero-padded coefficients; the trailing zeros that T and R may carry
-        # leave the psi weights unchanged
-        pad = np.zeros(d + s * D)
-        poly, _ = difference(np.r_[pad, 1.0, -T[:, 0], pad], d, D, s)
-        psi = psi_weights(-poly[1:], R[1:], horizon)
-        var = fit.sigma2 * np.cumsum(psi**2)
-
+        point = point + future_exog @ fit.exog_coef
     half = 1.96 * np.sqrt(np.maximum(var, 0.0))
     intervals = np.column_stack([point - half, point + half])
     return point, intervals

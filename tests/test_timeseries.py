@@ -19,11 +19,9 @@ from cinestat.statespace import (
     initial_covariance,
     kalman_filter,
     nelder_mead,
-    psi_weights,
     sarimax_fit,
     sarimax_forecast,
     stationary_covariance,
-    undifference,
     _pacf_to_coeffs,
 )
 from cinestat.timeseries import (
@@ -92,16 +90,6 @@ class TestPolynomials:
         a, m = expand_polynomials([0.7], [], [-0.3], [], s=12)
         np.testing.assert_allclose(a, [0.7])
         np.testing.assert_allclose(m, [-0.3])
-
-    def test_psi_weights_ar1(self):
-        psi = psi_weights(np.array([0.6]), np.array([]), 6)
-        np.testing.assert_allclose(psi, 0.6 ** np.arange(6), atol=1e-12)
-
-    def test_psi_weights_arma11(self):
-        phi, theta = 0.5, 0.3
-        psi = psi_weights(np.array([phi]), np.array([theta]), 5)
-        expect = [1.0] + [(phi + theta) * phi ** (j - 1) for j in range(1, 5)]
-        np.testing.assert_allclose(psi, expect, atol=1e-12)
 
 
 class TestStateSpace:
@@ -289,22 +277,9 @@ class TestKalmanExactness:
 
 
 class TestDifferencing:
-    def test_roundtrip_future_values(self):
-        rng = np.random.default_rng(19)
-        y_full = np.cumsum(rng.normal(size=60)) + np.tile(rng.normal(size=4), 15)
-        n, s = 48, 4
-        for d, D in [(1, 0), (0, 1), (1, 1)]:
-            w_full, _ = difference(y_full, d, D, s)
-            w_obs, tails = difference(y_full[:n], d, D, s)
-            future_w = w_full[len(w_obs):]
-            recovered = undifference(future_w, tails, s)
-            np.testing.assert_allclose(recovered, y_full[n:], atol=1e-10)
-
     def test_no_differencing_identity(self):
         y = np.arange(10.0)
-        w, tails = difference(y, 0, 0, 12)
-        np.testing.assert_array_equal(w, y)
-        assert tails == []
+        np.testing.assert_array_equal(difference(y, 0, 0, 12), y)
 
 
 class TestSarimaxFit:
@@ -623,6 +598,72 @@ class TestPublicFitPath:
         np.testing.assert_allclose(point, expect, atol=1e-8)
         truth = y[n - 1] + 2.0 * (x[n:] - x[n - 1])
         assert np.all(np.abs(point - truth) < intervals[:, 1] - point)
+
+
+    @pytest.mark.parametrize("order, seasonal_order, exog", [
+        ((1, 0, 1), (0, 0, 0, 12), True),
+        ((1, 1, 0), (0, 0, 0, 12), True),
+        ((0, 0, 1), (1, 1, 0, 12), True),
+        ((0, 1, 1), (0, 1, 1, 12), True),
+        # white noise differenced seasonally: the seasonal MA lands near -1,
+        # so the gain never freezes and the state is not known exactly
+        ((1, 0, 0), (0, 1, 1, 12), False),
+    ])
+    def test_forecast_matches_dense_gaussian(self, order, seasonal_order, exog):
+        # the forecast and its 95% bounds must be the mean and spread of the
+        # future given the observed series, by dense Gaussian conditioning of
+        # the differenced series and integration of the future back
+        rng = np.random.default_rng(163)
+        n, h, s = 200, 30, seasonal_order[3]
+        _, d, _ = order
+        _, D, _, _ = seasonal_order
+        if exog:
+            x = np.cumsum(rng.normal(size=(n + h, 1)), axis=0)
+            y = 20.0 + 1.5 * x[:n, 0] + sarima_series(n, ar=[0.5], ma=[0.4], sar=[0.3], sma=[0.3], d=d, D=D, seed=167)
+        else:
+            x = None
+            y = 20.0 + np.tile(rng.normal(size=s), n // s + 1)[:n] + rng.normal(size=n)
+        spec = SarimaxSpec(order, seasonal_order, ("x",) if exog else ())
+        fit = sarimax_fit(y, spec, exog=None if x is None else x[:n], max_evaluations=300)
+        point, intervals = sarimax_forecast(fit, h, future_exog=None if x is None else x[n:])
+        if not exog:
+            assert fit.seasonal_ma[0] < -0.9
+            assert np.abs(fit._final_cov - np.outer(fit._R, fit._R)).max() > 1e-6
+
+        integrate = np.array([1.0])
+        for _ in range(d):
+            integrate = np.convolve(integrate, [1.0, -1.0])
+        for _ in range(D):
+            integrate = np.convolve(integrate, lag_polynomial([1.0], s, -1.0))
+        K = integrate.size - 1
+        u = y - x[:n] @ fit.exog_coef if exog else y
+        w = signal.lfilter(integrate, [1.0], u)[K:] - fit.mean
+        m = w.size + h
+        P0 = sla.solve_discrete_lyapunov(fit._T, np.outer(fit._R, fit._R))
+        gamma = np.empty(m)
+        M = P0
+        for k in range(m):
+            gamma[k] = M[0, 0]
+            M = fit._T @ M
+        lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        cov = fit.sigma2 * gamma[lags]
+        cho = sla.cho_factor(cov[: w.size, : w.size])
+        cross = cov[w.size :, : w.size]
+        w_mean = cross @ sla.cho_solve(cho, w) + fit.mean
+        w_cov = cov[w.size :, w.size :] - cross @ sla.cho_solve(cho, cross.T)
+        # u_t = w_t - sum_k integrate[k] u_{t-k}; the future's weights on w
+        u_full = np.r_[u, np.zeros(h)]
+        for j in range(h):
+            u_full[n + j] = w_mean[j] - integrate[1:] @ u_full[n + j - K : n + j][::-1]
+        impulse = np.zeros(h)
+        impulse[0] = 1.0
+        g = signal.lfilter([1.0], integrate, impulse)
+        A = sla.toeplitz(g, np.zeros(h))
+        expect = u_full[n:] + (x[n:] @ fit.exog_coef if exog else 0.0)
+        half = 1.96 * np.sqrt(np.diag(A @ w_cov @ A.T))
+        np.testing.assert_allclose(point, expect, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(intervals[:, 0], expect - half, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(intervals[:, 1], expect + half, rtol=1e-9, atol=0)
 
 
 class TestMonthlyAggregation:
