@@ -81,7 +81,7 @@ def test_ingest_summary_stdout(monkeypatch):
 # SHA-256 of the full-grid fixture report, as `cinestat run --config
 # configs/fixture.json` writes it in JSON and in markdown.  ROADMAP items 1-3
 # change report numbers on purpose and will update these hashes.
-ORACLE_JSON_SHA256 = "642969c78fd99526d36f0fc0825eb265c11277ff6bde9dff659c2e6d3f94fc73"
+ORACLE_JSON_SHA256 = "48804ece12efe7a34085a0c2abedbd699b21790d006ae3f5421c4764bd0c11e9"
 ORACLE_MARKDOWN_SHA256 = "ffdc917c56747e9a623e8ac1472bb91b46c5a93a334fcade63f7d9364b2460e5"
 
 
