@@ -563,8 +563,6 @@ def sarimax_forecast(fit: SarimaxFit, horizon: int, future_exog: np.ndarray | No
         future_exog = np.asarray(future_exog, dtype=float).reshape(horizon, nx)
     elif future_exog is not None:
         raise ValueError("fit has no exogenous inputs")
-    if horizon == 0:
-        return np.zeros(0), np.zeros((0, 2))
 
     _, d, _ = spec.order
     _, D, _, s = spec.seasonal_order
