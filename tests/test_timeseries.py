@@ -630,14 +630,14 @@ class TestPublicFitPath:
             assert fit.seasonal_ma[0] < -0.9
             assert np.abs(fit._final_cov - np.outer(fit._R, fit._R)).max() > 1e-6
 
-        integrate = np.array([1.0])
+        diff_poly = np.array([1.0])
         for _ in range(d):
-            integrate = np.convolve(integrate, [1.0, -1.0])
+            diff_poly = np.convolve(diff_poly, [1.0, -1.0])
         for _ in range(D):
-            integrate = np.convolve(integrate, lag_polynomial([1.0], s, -1.0))
-        K = integrate.size - 1
+            diff_poly = np.convolve(diff_poly, lag_polynomial([1.0], s, -1.0))
+        K = diff_poly.size - 1
         u = y - x[:n] @ fit.exog_coef if exog else y
-        w = signal.lfilter(integrate, [1.0], u)[K:] - fit.mean
+        w = signal.lfilter(diff_poly, [1.0], u)[K:] - fit.mean
         m = w.size + h
         P0 = sla.solve_discrete_lyapunov(fit._T, np.outer(fit._R, fit._R))
         gamma = np.empty(m)
@@ -651,13 +651,13 @@ class TestPublicFitPath:
         cross = cov[w.size :, : w.size]
         w_mean = cross @ sla.cho_solve(cho, w) + fit.mean
         w_cov = cov[w.size :, w.size :] - cross @ sla.cho_solve(cho, cross.T)
-        # u_t = w_t - sum_k integrate[k] u_{t-k}; the future's weights on w
+        # u_t = w_t - sum_k diff_poly[k] u_{t-k}; the future's weights on w
         u_full = np.r_[u, np.zeros(h)]
         for j in range(h):
-            u_full[n + j] = w_mean[j] - integrate[1:] @ u_full[n + j - K : n + j][::-1]
+            u_full[n + j] = w_mean[j] - diff_poly[1:] @ u_full[n + j - K : n + j][::-1]
         impulse = np.zeros(h)
         impulse[0] = 1.0
-        g = signal.lfilter([1.0], integrate, impulse)
+        g = signal.lfilter([1.0], diff_poly, impulse)
         A = sla.toeplitz(g, np.zeros(h))
         expect = u_full[n:] + (x[n:] @ fit.exog_coef if exog else 0.0)
         half = 1.96 * np.sqrt(np.diag(A @ w_cov @ A.T))
