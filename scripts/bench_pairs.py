@@ -17,8 +17,14 @@ two verdicts per metric: whether a gain claim holds (the working tree lower
 in at least 9 of every 10 pairs, and the medians further apart than the
 base's IQR) and whether the working tree's median is worse than the base's
 by more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
-base median; the last line is all of it as one JSON object.  The temporary
-directory is removed on exit; the repository's git state is not touched.
+base median.  After the pairs it runs the working tree once more with
+``--trace 1``, the same workload, seed and seconds: the run that checks each
+traced invocation's output and its winning fit against the likelihood
+oracle.  It prints that run's verdict, ``correct``, its failed samples and
+how many oracle checks ended in each status.  The last line is all of it as
+one JSON object, with the traced run under ``traced``.  The script exits 1
+when the traced run is not correct.  The temporary directory is removed on
+exit; the repository's git state is not touched.
 """
 
 from __future__ import annotations
@@ -31,27 +37,39 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("run_s", "cpu_s", "peak_rss_mb", "setup_s")  # all lower-is-better
 BENCHMARK = ROOT / "BENCHMARK.json"
+# per-layer metrics of the traced run that the closing JSON repeats
+TRACED_METRICS = (
+    "statespace.kalman_filter.calls", "statespace.sarimax_fit.calls",
+    "statespace.stationary_covariance.diffuse_fallbacks", "statespace.kalman_filter.s",
+    "timeseries.sarimax_grid_search.s",
+)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its closing JSON line and the
-    hashes of the output it wrote."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``; returns the results file it
+    wrote."""
     cmd = [
         sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    written = json.loads((tree / ".perfbench_out" / workload / f"seed{seed}" / "results-trace0.json").read_text())
+    return json.loads((tree / ".perfbench_out" / workload / f"seed{seed}" / f"results-trace{trace}.json").read_text())
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in ``tree``: its end-to-end metrics and the hashes of
+    the output it wrote."""
+    result = run_bench(tree, workload, seed, seconds, trace=0)
     return {
-        "output_sha256": written["output_sha256"],
+        "output_sha256": result["output_sha256"],
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -64,6 +82,21 @@ def metric_bounds() -> dict[str, float]:
     of the base median."""
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def traced_verdict(result: dict) -> dict:
+    """The closing JSON's ``traced`` entry for a ``--trace 1`` results file:
+    ``correct`` holds when the run says so, no sample failed and no
+    likelihood oracle failed.  The entry also carries the run's failed and
+    attempted samples, each oracle status and its ``TRACED_METRICS``."""
+    oracle = [o["status"] for o in result["oracle"]]
+    return {
+        "correct": bool(result["correct"]) and result["failed"] == 0 and "fail" not in oracle,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "oracle": oracle,
+        **{name: result["metrics"][name]["value"] for name in TRACED_METRICS if name in result["metrics"]},
+    }
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -128,11 +161,16 @@ def main(argv=None) -> int:
               f"(base IQR {s['base_iqr']:.3f}), working tree lower in {s['head_better_pairs']} of {len(pairs)} pairs; "
               f"gain claim {'met' if s['claim_met'] else 'not met'}, "
               f"{'worse than' if s['regressed'] else 'within'} the bound")
+    traced = traced_verdict(run_bench(ROOT, args.workload, args.seed, args.seconds, trace=1))
+    print(f"traced run of the working tree: {'correct' if traced['correct'] else 'NOT correct'}, "
+          f"{traced['failed']} of {traced['attempted']} samples failed, "
+          "likelihood oracle " + (", ".join(f"{n} {status}" for status, n in Counter(traced["oracle"]).items())
+                                  or "not run"), flush=True)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "base": base_rev, "pairs": pairs, "summary": summary,
+        "base": base_rev, "pairs": pairs, "summary": summary, "traced": traced,
     }))
-    return 0
+    return 0 if traced["correct"] else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,11 @@ observation costs a few scalar operations instead of an r x r update.
 Before that step, a Riccati step is a handful of numpy calls on r x r
 arrays, and the call overhead, not the arithmetic, sets its cost; the calls
 are the cheapest ones that give the bits of the plain matrix form, which
-``tests/test_statespace_bits.py`` keeps as the reference.
+``tests/test_statespace_bits.py`` keeps as the reference.  A state of size
+1, the specs with no MA part and at most one AR lag, runs the stationary
+start and the Riccati phase on Python floats instead: numpy takes a product
+of 1 x 1 arrays as one multiplication, so the same float operations in the
+same order give the same bits, without a numpy call per operation.
 
 The likelihood is maximized by ``nelder_mead``, the Nelder & Mead (1965)
 downhill simplex, written here so the package needs numpy alone.  It takes
@@ -91,11 +95,11 @@ class SarimaxFit:
     nobs: int
     one_step_rmse: float
     # internals carried for forecasting
-    _final_state: np.ndarray = field(default=None, repr=False)
-    _final_cov: np.ndarray = field(default=None, repr=False)
-    _T: np.ndarray = field(default=None, repr=False)
-    _R: np.ndarray = field(default=None, repr=False)
-    _tail: np.ndarray = field(default=None, repr=False)
+    _final_state: np.ndarray = field(repr=False)
+    _final_cov: np.ndarray = field(repr=False)
+    _T: np.ndarray = field(repr=False)
+    _R: np.ndarray = field(repr=False)
+    _tail: np.ndarray = field(repr=False)
 
     def parameter_dict(self) -> dict[str, float]:
         out = {}
@@ -133,6 +137,8 @@ def _pacf_to_coeffs(r: np.ndarray) -> np.ndarray:
 
 
 def _unconstrained_to_coeffs(z: np.ndarray) -> np.ndarray:
+    if not z.size:
+        return np.zeros(0)
     return _pacf_to_coeffs(z / np.sqrt(1.0 + z**2))
 
 
@@ -170,7 +176,28 @@ def build_state_space(a: np.ndarray, m: np.ndarray):
 
 def stationary_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray | None:
     """Solve P = T P T' + R R' by the doubling iteration; None when the
-    transition is not stable."""
+    transition is not stable.
+
+    A state of size 1 runs the same iteration on Python floats, with the
+    bits of the array form: numpy's product of 1 x 1 arrays is one
+    multiplication.
+    """
+    if T.shape[0] == 1:
+        A = T.item(0)
+        P = R.item(0) * R.item(0)
+        for _ in range(60):
+            P_next = A * P * A
+            P_next += P
+            A = A * A
+            change = abs(P_next - P)
+            if not math.isfinite(change) and not math.isfinite(P_next):
+                return None
+            if change < 1e-14 * (1.0 + abs(P_next)):
+                if abs(A) > 1e-6:
+                    return None
+                return np.array([[P_next]])
+            P = P_next
+        return None
     A = T.copy()
     P = np.outer(R, R)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,11 +247,14 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
 
     with both sums over lags that reach back no further than s, and the
     frozen state a_s carrying what the history before s contributes.
+
+    A state of size 1 runs the Riccati phase, and its start in
+    ``stationary_covariance``, on Python floats: the same operations in the
+    same order give the same bits, and a numpy call on a 1 x 1 array costs
+    far more than the one multiplication it makes.
     """
     r = T.shape[0]
-    a = np.zeros(r)
     P = initial_covariance(T, R)
-    RR = np.outer(R, R)
     n = z.shape[0]
     # A Riccati step is a dozen numpy calls on small arrays, and their call
     # overhead, not the arithmetic, is its cost, so each call is the
@@ -250,33 +280,71 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     # the three roundings of that bound.  A change at or above the tolerance
     # the bound gives is at or above the exact one too.  Each shortcut is
     # implied by the full rule, so the freeze step is the one that rule gives.
-    Tt = np.ascontiguousarray(T.T)
-    R_last = R.item(-1)
+    #
+    # A state of size 1 takes the same steps on Python floats; numpy's
+    # product of a 1 x 1 array with a 1 x 1 array or a 1-vector is one
+    # multiplication.  The steady phase takes a and P back as arrays.
     v_head = []
     F_head = []
     s = n
     cap = math.inf
-    for t in range(n):
-        vt = z.item(t) - a.item(0)
-        v_head.append(vt)
-        F_head.append(P.item(0))
-        K = P[:, 0] / P[0, 0, ...]
-        a = T.dot(a + K * vt)
-        P_next = T.dot(P - K[:, None].dot(P[:1])).dot(Tt)
-        P_next += RR
-        frozen = False
-        if abs(K.item(-1) - R_last) < GAIN_TOLERANCE and np.abs(K - R).max() < GAIN_TOLERANCE:
-            change = np.abs(P_next - P).max()
-            cap = (cap + change) * (1.0 + 1e-15)
-            if not change >= 1e-12 * (1.0 + cap):
-                cap = np.abs(P_next).max()
-                frozen = change < 1e-12 * (1.0 + cap)
-        else:
-            cap = math.inf
-        P = P_next
-        if frozen:
-            s = t + 1
-            break
+    if r == 1:
+        T1 = T.item(0)
+        R1 = R.item(0)
+        RR = R1 * R1
+        a = 0.0
+        P = P.item(0)
+        for t in range(n):
+            vt = z.item(t) - a
+            v_head.append(vt)
+            F_head.append(P)
+            try:
+                K = P / P
+            except ZeroDivisionError:
+                K = P * math.inf  # P is 0: the invalid operation, and NaN, of numpy's 0 / 0
+            a = T1 * (a + K * vt)
+            P_next = T1 * (P - K * P) * T1 + RR
+            frozen = False
+            if abs(K - R1) < GAIN_TOLERANCE:
+                change = abs(P_next - P)
+                cap = (cap + change) * (1.0 + 1e-15)
+                if not change >= 1e-12 * (1.0 + cap):
+                    cap = abs(P_next)
+                    frozen = change < 1e-12 * (1.0 + cap)
+            else:
+                cap = math.inf
+            P = P_next
+            if frozen:
+                s = t + 1
+                break
+        a = np.array([a])
+        P = np.array([[P]])
+    else:
+        a = np.zeros(r)
+        RR = np.outer(R, R)
+        Tt = np.ascontiguousarray(T.T)
+        R_last = R.item(-1)
+        for t in range(n):
+            vt = z.item(t) - a.item(0)
+            v_head.append(vt)
+            F_head.append(P.item(0))
+            K = P[:, 0] / P[0, 0, ...]
+            a = T.dot(a + K * vt)
+            P_next = T.dot(P - K[:, None].dot(P[:1])).dot(Tt)
+            P_next += RR
+            frozen = False
+            if abs(K.item(-1) - R_last) < GAIN_TOLERANCE and np.abs(K - R).max() < GAIN_TOLERANCE:
+                change = np.abs(P_next - P).max()
+                cap = (cap + change) * (1.0 + 1e-15)
+                if not change >= 1e-12 * (1.0 + cap):
+                    cap = np.abs(P_next).max()
+                    frozen = change < 1e-12 * (1.0 + cap)
+            else:
+                cap = math.inf
+            P = P_next
+            if frozen:
+                s = t + 1
+                break
     v = np.empty(n)
     F = np.empty(n)
     v[:s] = v_head

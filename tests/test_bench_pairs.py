@@ -86,3 +86,31 @@ def test_regressed_only_beyond_the_bound_in_the_benchmark():
         beyond = bench_pairs.summarize(pairs_of([(2.0, 2.0 * (1 + 1.1 * bounds[name]))] * 3))[name]
         assert not inside["regressed"] and not inside["claim_met"]
         assert beyond["regressed"]
+
+
+def traced_result(correct=True, failed=0, oracle=("pass", "pass")):
+    """A hand-made ``--trace 1`` results file of four samples."""
+    return {
+        "correct": correct, "attempted": 4, "failed": failed,
+        "oracle": [{"status": status} for status in oracle],
+        "metrics": {"statespace.kalman_filter.calls": {"value": 409}, "trace.run_s": {"value": 1.5}},
+    }
+
+
+def test_traced_verdict_of_a_correct_run():
+    assert bench_pairs.traced_verdict(traced_result()) == {
+        "correct": True, "attempted": 4, "failed": 0, "oracle": ["pass", "pass"],
+        "statespace.kalman_filter.calls": 409,
+    }
+    # a grid-free workload skips the oracle, which is no failure
+    assert bench_pairs.traced_verdict(traced_result(oracle=("skipped",) * 2))["correct"]
+
+
+def test_traced_verdict_fails_on_an_oracle_fail():
+    verdict = bench_pairs.traced_verdict(traced_result(oracle=("pass", "fail")))
+    assert not verdict["correct"] and verdict["oracle"] == ["pass", "fail"]
+
+
+def test_traced_verdict_fails_on_a_failed_sample():
+    assert not bench_pairs.traced_verdict(traced_result(failed=1))["correct"]
+    assert not bench_pairs.traced_verdict(traced_result(correct=False, failed=1, oracle=("pass",)))["correct"]

@@ -146,6 +146,14 @@ class TestStationaryCovarianceBits:
         assert want is not None
         assert_same_bits([got], [want])
 
+    @pytest.mark.parametrize("phi", [1 - 1e-9, -(1 - 1e-9)])
+    def test_near_unit_root(self, phi):
+        # the propagated term dies out only after about 35 doublings
+        T, R = build_state_space(np.array([phi]), np.array([]))
+        got, want = stationary_covariance(T, R), reference_stationary_covariance(T, R)
+        assert want is not None
+        assert_same_bits([got], [want])
+
     @pytest.mark.parametrize(
         "T, R",
         [
@@ -188,6 +196,8 @@ class TestKalmanFilterBits:
         "a, m",
         [
             pytest.param([1.0], [0.3], id="diffuse_start"),
+            pytest.param([1.0], [], id="diffuse_start_r1"),
+            pytest.param([1.5], [], id="explosive_r1"),
             pytest.param([0.5], [2.0], id="noninvertible_ma"),
             pytest.param([0.5] + [0.0] * 10 + [0.3, -0.15], [0.0] * 11 + [0.6], id="seasonal_r13"),
         ],

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 
@@ -11,6 +12,7 @@ from cinestat.statespace import (
     SIMPLEX_FATOL,
     SIMPLEX_XATOL,
     FitError,
+    SarimaxFit,
     SarimaxSpec,
     build_state_space,
     concentrated_loglik,
@@ -506,6 +508,13 @@ class TestForecast:
         assert point.shape == (0,) and intervals.shape == (0, 2)
         with pytest.raises(ValueError):
             sarimax_forecast(fit, 3, future_exog=np.ones((3, 1)))
+
+    def test_fit_needs_its_forecast_state(self):
+        # a fit without the state the forecast reads fails where it is built
+        fit = sarimax_fit(np.random.default_rng(67).normal(size=80), SarimaxSpec((0, 0, 0)))
+        fields = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit) if f.name != "_tail"}
+        with pytest.raises(TypeError, match="_tail"):
+            SarimaxFit(**fields)
 
 
 def lag_polynomial(coeffs, step=1, sign=1.0):
