@@ -137,79 +137,82 @@ def ordinal_svm_fit(
     """All-threshold ordinal hinge fit by stochastic subgradient descent.
 
     Each sample pays hinge(1 - s*(w.x - b_j)) against both thresholds, with
-    s = +1 when its class sits above threshold j and -1 otherwise.  The
-    final parameters are the Polyak average over all steps; the per-epoch
-    objective of the running average is recorded in objective_trace.
+    s = +1 when its class sits above threshold j and -1 otherwise.  Step t,
+    with eta = 1/(C*t), makes the update
+
+        w <- w*(1 - eta/n) + eta*C*coef*x,   coef = sum_j [hinge_j active]*s_j,
+        b_j <- b_j - eta*C*s_j for each active hinge.
+
+    w is kept as sigma*v (Shalev-Shwartz et al., "Pegasos", 2011): the decay
+    scales sigma, and only a step with coef != 0 touches v.  The final
+    parameters are the Polyak average over all steps; the weights' average
+    is kept by running sums (Bottou, "Stochastic Gradient Descent Tricks",
+    2012).  The per-epoch objective of the running average is recorded in
+    objective_trace.  In exact arithmetic these are the plain update's steps,
+    so the weights differ from it by rounding only.  A fit is deterministic
+    per seed.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(labels, dtype=int)
     if not 0 < C < np.inf:
         raise ValueError(f"C must be a finite number > 0, got {C}")
+    if len(y) != len(X):
+        raise ValueError(f"need one label per row of X, got {len(y)} labels for {len(X)} rows")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     present = set(y.tolist())
     if present != {0, 1, 2}:
         raise ValueError(f"all three classes must be present, got {sorted(present)}")
     n, p = X.shape
 
-    # Each step is the array update
-    #     gw = w/n - sum_j [hinge_j active] C*s_j*x;  gb_j = [hinge_j active] C*s_j
-    #     w -= eta*gw;  b -= eta*gb;  avg += (new - avg)/t
-    # written with few numpy calls and the same rounding: the thresholds and
-    # their averages are Python floats, and an inactive hinge term is skipped
-    # (b - eta*0.0 is b); (C*s)*x is exactly +-(C*x) and g - (-(C*x)) is
-    # exactly g + C*x, so the rows are scaled by C once; the two hinge terms
-    # stay two updates (one 2*C*x update rounds differently); ndarray.dot is
-    # the same BLAS ddot as `@` at half its call cost; n and eta are 0-d
-    # arrays because numpy takes a slower path for a Python float operand.
-    # The average never feeds back into the iterate, so each step only stores
-    # its iterate and the epoch then advances the average coordinate by
-    # coordinate in Python floats, with the same subtract, divide and add per
-    # step (t counts steps as floats, exact below 2**53).
-    steps = [
-        (row, c_row, 1.0 if v >= 1 else -1.0, 1.0 if v >= 2 else -1.0)
-        for row, c_row, v in zip(X, C * X, y.tolist())
-    ]
-    w = np.zeros(p)
-    b1, b2 = -1.0, 1.0
+    # The sum of the iterates w_1..w_t is acc + S*v, where S sums sigma over
+    # the steps since the last rescale.  A change dv of v reaches the earlier
+    # iterates through S*v too, so it subtracts S*dv from acc (S before the
+    # step's own sigma); those terms wait in (row, coefficient) lists and go
+    # in as one matrix-vector product per epoch.  A rescale moves sigma into
+    # v and S*v into acc once sigma leaves [1e-4, 1e4] or reaches 0, which
+    # C*n <= 1 does at once (its first decay factors are <= 0).  The
+    # thresholds and their running means stay Python floats.
+    steps = [(row, 1.0 if k >= 1 else -1.0, 1.0 if k >= 2 else -1.0) for row, k in zip(X, y.tolist())]
+    v = np.zeros(p)
+    sigma, S = 1.0, 0.0
+    acc = np.zeros(p)
     avg_w = np.zeros(p)
+    b1, b2 = -1.0, 1.0
     ab1, ab2 = 0.0, 0.0
-    iterates = np.empty((n, p))
     trace: list[float] = []
     rng = np.random.default_rng(seed)
-    n_arr = np.array(float(n))
-    eta_arr = np.array(0.0)
     t = 0.0
     for _ in range(epochs):
-        t_epoch = t
-        for k, i in enumerate(rng.permutation(n).tolist()):
+        rows: list[int] = []
+        coefs: list[float] = []
+        for i in rng.permutation(n).tolist():
             t += 1.0
             eta = 1.0 / (C * t)
-            eta_arr[()] = eta
-            row, c_row, s1, s2 = steps[i]
-            gw = w / n_arr
-            score = float(row.dot(w))
+            row, s1, s2 = steps[i]
+            score = sigma * float(row.dot(v))
+            coef = 0.0
             if 1.0 - s1 * (score - b1) > 0.0:
-                if s1 > 0.0:
-                    gw -= c_row
-                else:
-                    gw += c_row
+                coef += s1
                 b1 -= eta * (C * s1)
             if 1.0 - s2 * (score - b2) > 0.0:
-                if s2 > 0.0:
-                    gw -= c_row
-                else:
-                    gw += c_row
+                coef += s2
                 b2 -= eta * (C * s2)
-            gw *= eta_arr
-            w -= gw
-            iterates[k] = w
+            sigma *= 1.0 - eta / n
+            if not 1e-4 <= sigma <= 1e4:
+                acc += S * v
+                v *= sigma
+                sigma, S = 1.0, 0.0
+            if coef:
+                c = eta * C * coef / sigma
+                v += c * row
+                rows.append(i)
+                coefs.append(S * c)
+            S += sigma
             ab1 += (b1 - ab1) / t
             ab2 += (b2 - ab2) / t
-        for j in range(p):
-            a, tj = float(avg_w[j]), t_epoch
-            for x in iterates[:, j].tolist():
-                tj += 1.0
-                a += (x - a) / tj
-            avg_w[j] = a
+        acc -= np.array(coefs) @ X[rows]
+        avg_w = (acc + S * v) / t
         trace.append(_ordinal_objective(X, y, avg_w, [ab1, ab2], C))
 
     b1, b2 = sorted([ab1, ab2])
