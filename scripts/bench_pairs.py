@@ -22,9 +22,11 @@ base median.  After the pairs it runs the working tree once more with
 traced invocation's output and its winning fit against the likelihood
 oracle.  It prints that run's verdict, ``correct``, its failed samples and
 how many oracle checks ended in each status.  The last line is all of it as
-one JSON object, with the traced run under ``traced``.  The script exits 1
-when the traced run is not correct.  The temporary directory is removed on
-exit; the repository's git state is not touched.
+one JSON object, with the traced run under ``traced`` and every failed pair
+side under ``failures``.  The script exits 1 when a run of any pair, base
+or working tree, is not correct or lost samples (each such side is named
+by its pair index), or when the traced run is not correct.  The temporary
+directory is removed on exit; the repository's git state is not touched.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 TRACED_METRICS = (
     "statespace.kalman_filter.calls", "statespace.sarimax_fit.calls",
     "statespace.stationary_covariance.diffuse_fallbacks", "statespace.kalman_filter.s",
-    "timeseries.sarimax_grid_search.s",
+    "statespace.sarimax_fit.s", "statespace.loglik_evals_per_fit", "timeseries.sarimax_grid_search.s",
 )
 
 
@@ -97,6 +99,25 @@ def traced_verdict(result: dict) -> dict:
         "oracle": oracle,
         **{name: result["metrics"][name]["value"] for name in TRACED_METRICS if name in result["metrics"]},
     }
+
+
+def run_failure(run: dict) -> str | None:
+    """What went wrong in one side's run of a pair: None when the run is
+    correct and lost no sample."""
+    if run["failed"] or not run["correct"]:
+        return f"{run['failed']} of {run['attempted']} samples failed" + ("" if run["correct"] else ", run not correct")
+    return None
+
+
+def pair_failures(pairs: list[dict]) -> list[str]:
+    """One line for each failed side of each pair, naming the pair's index
+    and the side."""
+    return [
+        f"pair {k} {side}: {why}"
+        for k, pair in enumerate(pairs)
+        for side in ("base", "head")
+        if (why := run_failure(pair[side]))
+    ]
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -151,9 +172,7 @@ def main(argv=None) -> int:
             print(f"pair {k} ({order[0]} first, {same}): " + "  ".join(
                 f"{name} {pair['base'][name]:.3f} -> {pair['head'][name]:.3f}" for name in METRICS
             ) + "".join(
-                f"  [{side}: {pair[side]['failed']} of {pair[side]['attempted']} failed"
-                f"{'' if pair[side]['correct'] else ', not correct'}]"
-                for side in ("base", "head") if pair[side]["failed"] or not pair[side]["correct"]
+                f"  [{side}: {why}]" for side in ("base", "head") if (why := run_failure(pair[side]))
             ), flush=True)
     summary = summarize(pairs)
     for name, s in summary.items():
@@ -166,11 +185,14 @@ def main(argv=None) -> int:
           f"{traced['failed']} of {traced['attempted']} samples failed, "
           "likelihood oracle " + (", ".join(f"{n} {status}" for status, n in Counter(traced["oracle"]).items())
                                   or "not run"), flush=True)
+    failures = pair_failures(pairs)
+    for line in failures:
+        print(f"FAILED {line}", flush=True)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "base": base_rev, "pairs": pairs, "summary": summary, "traced": traced,
+        "base": base_rev, "pairs": pairs, "summary": summary, "traced": traced, "failures": failures,
     }))
-    return 0 if traced["correct"] else 1
+    return 0 if traced["correct"] and not failures else 1
 
 
 if __name__ == "__main__":

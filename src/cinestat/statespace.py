@@ -26,6 +26,15 @@ start and the Riccati phase on Python floats instead: numpy takes a product
 of 1 x 1 arrays as one multiplication, so the same float operations in the
 same order give the same bits, without a numpy call per operation.
 
+On a long series with a small state, a likelihood evaluation is mostly
+fixed cost: its arithmetic over 1,439 months takes a few microseconds, and
+each numpy call around it about one.  So an evaluation does only the work
+its parameters change.  A lag polynomial is multiplied by a seasonal factor
+only when there is one, and a spec without a mean is not centred.  The
+filter's steady phase reads its lags off T and R as Python lists, the sums
+skip ``np.sum``'s wrapper, and the simplex tests convergence on Python
+floats, all with the bits of the plain numpy form.
+
 The likelihood is maximized by ``nelder_mead``, the Nelder & Mead (1965)
 downhill simplex, written here so the package needs numpy alone.  It takes
 the steps of scipy's ``minimize(method="Nelder-Mead")`` with ``maxfev`` set,
@@ -123,23 +132,19 @@ class FitError(RuntimeError):
     pass
 
 
-def _pacf_to_coeffs(r: np.ndarray) -> np.ndarray:
+def _pacf_to_coeffs(r) -> np.ndarray:
     """Levinson recursion mapping partial autocorrelations in (-1, 1) to the
     coefficients of a stationary AR polynomial."""
-    a = np.zeros(0)
-    for k, rk in enumerate(r, start=1):
-        new = np.empty(k)
-        new[k - 1] = rk
-        if k > 1:
-            new[: k - 1] = a - rk * a[::-1]
-        a = new
-    return a
+    a = []
+    for rk in r:
+        a = [x - rk * y for x, y in zip(a, a[::-1])]
+        a.append(rk)
+    return np.array(a, dtype=float)
 
 
-def _unconstrained_to_coeffs(z: np.ndarray) -> np.ndarray:
-    if not z.size:
-        return np.zeros(0)
-    return _pacf_to_coeffs(z / np.sqrt(1.0 + z**2))
+def _unconstrained_to_coeffs(z: list[float]) -> np.ndarray:
+    # numpy's z / sqrt(1 + z**2) on floats: z**2 is z * z, sqrt is exact
+    return _pacf_to_coeffs([x / math.sqrt(1.0 + x * x) for x in z]) if z else np.zeros(0)
 
 
 def expand_polynomials(ar, seasonal_ar, ma, seasonal_ma, s: int):
@@ -150,6 +155,10 @@ def expand_polynomials(ar, seasonal_ar, ma, seasonal_ma, s: int):
     """
     def product(coeffs, seasonal):
         # (1 + sum c_i L^i)(1 + sum C_j L^(s j)) from lag 1; the AR side comes negated
+        if not len(seasonal):
+            # times 1: np.convolve adds each product to +0.0, so the product
+            # is the coefficients plus 0.0, which turns -0.0 into 0.0
+            return np.add(coeffs, 0.0)
         poly = np.zeros(len(coeffs) + 1)
         poly[0] = 1.0
         poly[1:] = coeffs
@@ -280,12 +289,7 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     # the three roundings of that bound.  A change at or above the tolerance
     # the bound gives is at or above the exact one too.  Each shortcut is
     # implied by the full rule, so the freeze step is the one that rule gives.
-    #
-    # A state of size 1 takes the same steps on Python floats; numpy's
-    # product of a 1 x 1 array with a 1 x 1 array or a 1-vector is one
-    # multiplication.  The steady phase takes a and P back as arrays.
-    v_head = []
-    F_head = []
+    v_head, F_head = [], []
     s = n
     cap = math.inf
     if r == 1:
@@ -352,14 +356,21 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     if s == n:
         return v, F, a, P
 
-    F[s:] = P[0, 0]
+    # The lags come off T and R as Python lists, and e is updated in place
+    # through views, which spares numpy's write-back of each slice.
+    F[s:] = P.item(0)
     c = T[:, 0]
     steps = n - s
-    e = z[s:].astype(float)
-    e[: min(steps, r)] -= a[:steps]
-    for k in np.flatnonzero(c[: steps - 1]) + 1:
-        e[k:] -= c[k - 1] * z[s : n - k]
-    ma = [(int(k), float(R[k])) for k in np.flatnonzero(R[1:]) + 1]
+    h = min(steps, r)
+    e = v[s:]  # the steady innovations, built in place
+    e[...] = z[s:]
+    head = e[:h]
+    head -= a[:h]
+    for k, c_k in enumerate(c[: steps - 1].tolist(), 1):
+        if c_k:
+            tail = e[k:]
+            tail -= c_k * z[s : n - k]
+    ma = [(k, m_k) for k, m_k in enumerate(R[1:].tolist(), 1) if m_k]
     if ma:
         # v[t] with t < s stands at 0: a_s already holds those MA terms
         depth = ma[-1][0]
@@ -369,18 +380,16 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
             for k, m_k in ma:
                 acc -= m_k * w[t - k]
             w[t] = acc
-        v[s:] = w[depth:]
-    else:
-        v[s:] = e
+        e[...] = w[depth:]
 
     # a_{n+1|n}[i] = sum over j >= i of c[j] z[n-1-j+i] + R[j+1] v[n-1-j+i]
     # over the steady phase's last r steps, plus what is left of a_s when
     # the phase is shorter than r
-    h = min(steps, r)
     m_next = np.zeros(r)
     m_next[:-1] = R[1:]
     a_next = (np.convolve(c, z[n - h :]) + np.convolve(m_next, v[n - h :]))[h - 1 : h - 1 + r]
-    a_next[: r - h] += a[h:]
+    if h < r:
+        a_next[: r - h] += a[h:]
     return v, F, a_next, P
 
 
@@ -388,13 +397,14 @@ def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     """Profile log-likelihood with the innovation variance concentrated out."""
     v, F, a, P = kalman_filter(z, T, R)
     n = z.shape[0]
-    ssq = float(np.sum(v * v / F))
-    sigma2 = ssq / n
-    if sigma2 <= 0 or not np.isfinite(sigma2):
-        return -np.inf, 0.0, v, F, a, P
-    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * float(
-        np.sum(np.log(F))
-    )
+    q = v * v  # the sums are np.sum's, without its Python wrapper
+    q /= F
+    sigma2 = np.add.reduce(q).item() / n
+    if sigma2 <= 0 or not math.isfinite(sigma2):
+        return -math.inf, 0.0, v, F, a, P
+    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * np.add.reduce(
+        np.log(F, out=q)
+    ).item()
     return ll, sigma2, v, F, a, P
 
 
@@ -418,18 +428,15 @@ def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
     """
     p, _, q = spec.order
     P, _, Q, s = spec.seasonal_order
-    k = 0
-    mean = 0.0
-    if spec.includes_mean:
-        mean = float(zvec[k])
-        k += 1
+    k = 1 if spec.includes_mean else 0
+    mean = float(zvec[0]) if k else 0.0
     nx = len(spec.exog_names)
     beta = np.asarray(zvec[k : k + nx], dtype=float)
-    k += nx
-    ar = _unconstrained_to_coeffs(zvec[k : k + p]); k += p
-    ma = -_unconstrained_to_coeffs(zvec[k : k + q]); k += q
-    sar = _unconstrained_to_coeffs(zvec[k : k + P]); k += P
-    sma = -_unconstrained_to_coeffs(zvec[k : k + Q]); k += Q
+    x = zvec[k + nx :].tolist()
+    ar = _unconstrained_to_coeffs(x[:p])
+    ma = -_unconstrained_to_coeffs(x[p : p + q])
+    sar = _unconstrained_to_coeffs(x[p + q : p + q + P])
+    sma = -_unconstrained_to_coeffs(x[p + q + P :])
     a, m = expand_polynomials(ar=ar, seasonal_ar=sar, ma=ma, seasonal_ma=sma, s=s)
     T, R = build_state_space(a, m)
     return mean, beta, ar, ma, sar, sma, T, R
@@ -466,8 +473,8 @@ def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
         return f(np.copy(x))
 
     def by_value(sim, fsim):
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        return sim.take(order, 0), fsim.take(order)
 
     sim = np.empty((n + 1, n))
     sim[0] = x0
@@ -486,9 +493,12 @@ def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
     sim, fsim = by_value(*by_value(sim, fsim))
 
     while evaluations < max_evaluations:
+        # scipy's two tests, the values' first, on Python floats: it is the
+        # cheaper one and fails on most iterations (a NaN fails either form)
+        fs = fsim.tolist()
         if (
-            np.abs(sim[1:] - sim[0]).max() <= SIMPLEX_XATOL
-            and np.abs(fsim[0] - fsim[1:]).max() <= SIMPLEX_FATOL
+            all(abs(fj - fs[0]) <= SIMPLEX_FATOL for fj in fs[1:])
+            and np.abs(sim[1:] - sim[0]).max() <= SIMPLEX_XATOL
         ):
             break
         try:
@@ -496,16 +506,16 @@ def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
             xr = (1 + rho) * xbar - rho * sim[-1]
             fxr = evaluate(xr)
             shrink = False
-            if fxr < fsim[0]:
+            if fxr < fs[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
                 fxe = evaluate(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
                     sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
+            elif fxr < fs[-2]:
                 sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
+            elif fxr < fs[-1]:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
                 fxc = evaluate(xc)
                 if fxc <= fxr:
@@ -515,7 +525,7 @@ def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
             else:
                 xcc = (1 - psi) * xbar + psi * sim[-1]
                 fxcc = evaluate(xcc)
-                if fxcc < fsim[-1]:
+                if fxcc < fs[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     shrink = True
@@ -527,6 +537,15 @@ def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
             pass
         sim, fsim = by_value(sim, fsim)
     return sim[0], evaluations < max_evaluations
+
+
+def _regressors(x, rows: int, k: int, name: str) -> np.ndarray:
+    """x as a rows x k float array, from that shape or, when k is 1, from
+    ``rows`` values; a reshape would scramble a transposed array."""
+    x = np.asarray(x, dtype=float)
+    if x.shape == (rows, k) or (k == 1 and x.shape == (rows,)):
+        return x.reshape(rows, k)
+    raise ValueError(f"{name} has shape {x.shape}; expected {(rows, k)}")
 
 
 def sarimax_fit(
@@ -544,7 +563,7 @@ def sarimax_fit(
     if nx:
         if exog is None:
             raise ValueError("spec names exogenous series but none were supplied")
-        exog = np.asarray(exog, dtype=float).reshape(len(y), nx)
+        exog = _regressors(exog, len(y), nx, "exog")
         wx = difference(exog, d, D, s)
 
     w = difference(y, d, D, s)
@@ -557,13 +576,13 @@ def sarimax_fit(
         x0[0] = float(w.mean())
 
     def centred(mean, beta):
-        z = w - mean
+        z = w - mean if spec.includes_mean else w  # w - 0.0 is w, -0.0 included
         return z - wx @ beta if nx else z
 
     def negloglik(zvec):
         mean, beta, *_, T, R = model_from_parameters(zvec, spec)
         ll, *_rest = concentrated_loglik(centred(mean, beta), T, R)
-        return -ll if np.isfinite(ll) else 1e12
+        return -ll if math.isfinite(ll) else 1e12
 
     if x0.size:
         zvec, converged = nelder_mead(negloglik, x0, max_evaluations)
@@ -628,7 +647,7 @@ def sarimax_forecast(fit: SarimaxFit, horizon: int, future_exog: np.ndarray | No
     if nx:
         if future_exog is None:
             raise ValueError("fit used exogenous inputs; future values required")
-        future_exog = np.asarray(future_exog, dtype=float).reshape(horizon, nx)
+        future_exog = _regressors(future_exog, horizon, nx, "future_exog")
     elif future_exog is not None:
         raise ValueError("fit has no exogenous inputs")
 

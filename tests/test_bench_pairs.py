@@ -1,7 +1,12 @@
-"""``scripts/bench_pairs.py::summarize``: the numbers a gain claim rests on."""
+"""``scripts/bench_pairs.py``: the numbers a gain claim rests on, and the
+exit status that fails a run with a bad pair."""
 
 import importlib.util
+import io
+import json
 import pathlib
+import subprocess
+import tarfile
 
 import pytest
 
@@ -114,3 +119,62 @@ def test_traced_verdict_fails_on_an_oracle_fail():
 def test_traced_verdict_fails_on_a_failed_sample():
     assert not bench_pairs.traced_verdict(traced_result(failed=1))["correct"]
     assert not bench_pairs.traced_verdict(traced_result(correct=False, failed=1, oracle=("pass",)))["correct"]
+
+
+def test_traced_verdict_repeats_the_fit_metrics():
+    result = traced_result()
+    result["metrics"]["statespace.sarimax_fit.s"] = {"value": 0.04}
+    result["metrics"]["statespace.loglik_evals_per_fit"] = {"value": 204.5}
+    verdict = bench_pairs.traced_verdict(result)
+    assert verdict["statespace.sarimax_fit.s"] == 0.04
+    assert verdict["statespace.loglik_evals_per_fit"] == 204.5
+
+
+def run_result(correct=True, failed=0):
+    """A hand-made ``run_once`` result of 20 samples."""
+    return {"output_sha256": ["ab"], "correct": correct, "failed": failed, "attempted": 20,
+            **dict.fromkeys(bench_pairs.METRICS, 1.0)}
+
+
+def test_pair_failures_name_the_pair_and_the_side():
+    pairs = [
+        {"base": run_result(), "head": run_result()},
+        {"base": run_result(), "head": run_result(correct=False)},
+        {"base": run_result(correct=False, failed=2), "head": run_result()},
+    ]
+    assert bench_pairs.pair_failures(pairs) == [
+        "pair 1 head: 0 of 20 samples failed, run not correct",
+        "pair 2 base: 2 of 20 samples failed, run not correct",
+    ]
+    assert bench_pairs.pair_failures(pairs[:1]) == []
+
+
+@pytest.mark.parametrize("bad_pair, bad_side", [(None, None), (0, "base"), (2, "head")])
+def test_main_exits_1_when_any_pair_fails(monkeypatch, capsys, bad_pair, bad_side):
+    # a run judged incorrect in any pair fails the script, even when the
+    # closing traced run is correct
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        k, side = len(calls) // 2, "head" if tree == bench_pairs.ROOT else "base"
+        calls.append((k, side))
+        return run_result(correct=(k, side) != (bad_pair, bad_side))
+
+    def fake_git(cmd, **kwargs):
+        # rev-parse names a revision, archive exports an empty tree
+        empty = io.BytesIO()
+        tarfile.open(fileobj=empty, mode="w").close()
+        return subprocess.CompletedProcess(cmd, 0, stdout="0" * 40 if "rev-parse" in cmd else empty.getvalue())
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_git)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args, **kwargs: traced_result())
+    code = bench_pairs.main(["--workload", "forecast_long", "--pairs", "3", "--seconds", "1"])
+    out = capsys.readouterr().out
+    closing = json.loads(out.strip().splitlines()[-1])
+    if bad_pair is None:
+        assert code == 0 and closing["failures"] == []
+    else:
+        line = f"pair {bad_pair} {bad_side}: 0 of 20 samples failed, run not correct"
+        assert code == 1 and closing["failures"] == [line]
+        assert f"FAILED {line}" in out

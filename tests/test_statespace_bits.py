@@ -1,14 +1,19 @@
-"""Bit-for-bit pins of the Kalman filter and the stationary covariance.
+"""Bit-for-bit pins of the likelihood path: the model build, the Kalman
+filter, the stationary covariance and the concentrated log-likelihood.
 
 Each function is compared with a plain copy of its earlier form, kept here
 as the reference: ``np.dot`` calls, the broadcast outer product, every scalar
-read as a numpy scalar and the innovations written straight into the output
-arrays.  The cheaper calls of the package's version must give the same bits
-on every output, over every (T, R) of the default SARIMAX grid and over
-state sizes 1 to 14.
+read as a numpy scalar, the innovations written straight into the output
+arrays, both lag polynomials multiplied by ``np.convolve`` and the sums
+taken by ``np.sum``.  The cheaper calls of the package's version must give
+the same bits on every output, over every (T, R) of the default SARIMAX grid
+and over state sizes 1 to 14.  ``sarimax_fit`` is pinned end to end by the
+hashes of three fits.
 """
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +25,10 @@ from cinestat.statespace import (
     SarimaxSpec,
     _pacf_to_coeffs,
     build_state_space,
+    concentrated_loglik,
     kalman_filter,
     model_from_parameters,
+    sarimax_fit,
     stationary_covariance,
 )
 
@@ -103,6 +110,73 @@ def reference_kalman_filter(z, T, R):
     a_next = (np.convolve(c, z[n - h :]) + np.convolve(m_next, v[n - h :]))[h - 1 : h - 1 + r]
     a_next[: r - h] += a[h:]
     return v, F, a_next, P, s
+
+
+def reference_model_from_parameters(zvec, spec):
+    """The model build's earlier form: both lag polynomials multiplied by
+    ``np.convolve``, even by a factor 1, on numpy arrays throughout."""
+
+    def to_coeffs(z):
+        if not z.size:
+            return np.zeros(0)
+        r = z / np.sqrt(1.0 + z**2)
+        a = np.zeros(0)
+        for k, rk in enumerate(r, start=1):
+            new = np.empty(k)
+            new[k - 1] = rk
+            if k > 1:
+                new[: k - 1] = a - rk * a[::-1]
+            a = new
+        return a
+
+    def product(coeffs, seasonal, s):
+        poly = np.zeros(len(coeffs) + 1)
+        poly[0] = 1.0
+        poly[1:] = coeffs
+        spoly = np.zeros(s * len(seasonal) + 1)
+        spoly[0] = 1.0
+        spoly[s::s] = seasonal
+        return np.convolve(poly, spoly)[1:]
+
+    p, _, q = spec.order
+    P, _, Q, s = spec.seasonal_order
+    k = 0
+    mean = 0.0
+    if spec.includes_mean:
+        mean = float(zvec[k])
+        k += 1
+    nx = len(spec.exog_names)
+    beta = np.asarray(zvec[k : k + nx], dtype=float)
+    k += nx
+    ar = to_coeffs(zvec[k : k + p]); k += p
+    ma = -to_coeffs(zvec[k : k + q]); k += q
+    sar = to_coeffs(zvec[k : k + P]); k += P
+    sma = -to_coeffs(zvec[k : k + Q]); k += Q
+    a = -product(np.negative(ar), np.negative(sar), s)
+    m = product(ma, sma, s)
+    r = max(len(a), len(m) + 1, 1)
+    T = np.zeros((r, r))
+    T[: len(a), 0] = a
+    if r > 1:
+        T[:-1, 1:] = np.eye(r - 1)
+    R = np.zeros(r)
+    R[0] = 1.0
+    R[1 : 1 + len(m)] = m
+    return mean, beta, ar, ma, sar, sma, T, R
+
+
+def reference_concentrated_loglik(z, T, R):
+    """The concentrated log-likelihood's earlier form, on the reference filter."""
+    v, F, a, P, _ = reference_kalman_filter(z, T, R)
+    n = z.shape[0]
+    ssq = float(np.sum(v * v / F))
+    sigma2 = ssq / n
+    if sigma2 <= 0 or not np.isfinite(sigma2):
+        return -np.inf, 0.0, v, F, a, P
+    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * float(
+        np.sum(np.log(F))
+    )
+    return ll, sigma2, v, F, a, P
 
 
 def default_grid_models():
@@ -206,3 +280,92 @@ class TestKalmanFilterBits:
         T, R = build_state_space(np.array(a), np.array(m))
         z = np.random.default_rng(53).normal(size=300)
         self.check(z, T, R)
+
+
+def grid_parameter_draws():
+    """(id, spec, zvec) for every default-grid spec with two regressors, at
+    the zero start and at two seeded draws."""
+    rng = np.random.default_rng(59)
+    out = []
+    for p, d, q, P, D, Q in itertools.product((0, 1), repeat=6):
+        spec = SarimaxSpec((p, d, q), (P, D, Q, SEASONAL_PERIOD), ("x1", "x2"))
+        size = spec.n_params - 1
+        draws = {"zero": np.zeros(size), "draw1": rng.normal(size=size), "draw2": rng.normal(scale=3.0, size=size)}
+        out += [(f"{p}{d}{q}_{P}{D}{Q}_{label}", spec, zvec) for label, zvec in draws.items()]
+    return out
+
+
+GRID_DRAWS = grid_parameter_draws()
+
+
+def as_bits(x):
+    """A float as a 0-d array, so ``assert_same_bits`` compares its bytes."""
+    return np.asarray(x, dtype=float)
+
+
+class TestLikelihoodPathBits:
+    @pytest.mark.parametrize("spec, zvec", [d[1:] for d in GRID_DRAWS], ids=[d[0] for d in GRID_DRAWS])
+    def test_default_grid(self, spec, zvec):
+        got = model_from_parameters(zvec, spec)
+        want = reference_model_from_parameters(zvec, spec)
+        assert_same_bits([as_bits(x) for x in got], [as_bits(x) for x in want])
+        *_, T, R = got
+        z = np.random.default_rng(61).normal(size=300)
+        ll, sigma2, *arrays = concentrated_loglik(z, T, R)
+        want_ll, want_sigma2, *want_arrays = reference_concentrated_loglik(z, T, R)
+        assert_same_bits(
+            [as_bits(ll), as_bits(sigma2), *arrays], [as_bits(want_ll), as_bits(want_sigma2), *want_arrays]
+        )
+
+
+def regression_series(seed, integrated, n=240):
+    """y = 3 + X (0.2, -1.1) + u with u an AR(1) at 0.5, summed once when
+    ``integrated``; X a level and a count regressor."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([100 + rng.normal(scale=8.0, size=n), rng.poisson(12, size=n).astype(float)])
+    e = rng.normal(size=n)
+    u = np.empty(n)
+    u[0] = e[0]
+    for t in range(1, n):
+        u[t] = 0.5 * u[t - 1] + e[t]
+    if integrated:
+        u = np.cumsum(u)
+    return 3.0 + X @ np.array([0.2, -1.1]) + u, X
+
+
+def sha256_of(x):
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+
+
+# The log-likelihood and the hashes of residuals, _final_state and _final_cov
+# of three fits at the config's 300-evaluation budget, recorded before the
+# likelihood evaluation's fixed cost was cut: the benchmark's forecast_long
+# specs (0,1,0) and (1,1,0) and scale_run's (1,0,0) with a mean, each with
+# two regressors.
+FIT_PINS = [
+    ((0, 1, 0), True, 61, "-0x1.84239ad7241cdp+8", (
+        "ad3882f5ae58f968e28be42779f0f0c8b48fec5c262d078a166fa011d0f5f215",
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    )),
+    ((1, 1, 0), True, 62, "-0x1.4a315c044d05dp+8", (
+        "66023cd56b17148a892cec9577919d2f4b9f9c75bb1301f15b5d5f4b75d632ba",
+        "f2b466fd840eefa71227b0429ef6eb791688cb5527d73bbeb763e6151bcc85f3",
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    )),
+    ((1, 0, 0), False, 63, "-0x1.62f2e9330952bp+8", (
+        "156b28f063a3895b6faba8c780fa18f0b1c59f8fc9fa32bdf2fa521e0b2c0625",
+        "cc544f7a5d892ae00f13b8accca0135737deb4b687c140a16fe45eb71ce22200",
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "order, integrated, seed, ll_hex, hashes", FIT_PINS, ids=["".join(map(str, pin[0])) for pin in FIT_PINS]
+)
+def test_sarimax_fit_pins(order, integrated, seed, ll_hex, hashes):
+    y, X = regression_series(seed, integrated)
+    fit = sarimax_fit(y, SarimaxSpec(order, exog_names=("x1", "x2")), exog=X, max_evaluations=300)
+    assert fit.log_likelihood.hex() == ll_hex
+    assert (sha256_of(fit.residuals), sha256_of(fit._final_state), sha256_of(fit._final_cov)) == hashes

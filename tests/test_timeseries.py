@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,35 @@ class TestSarimaxFit:
     def test_missing_exog_rejected(self):
         with pytest.raises(ValueError):
             sarimax_fit(np.zeros(50), SarimaxSpec((0, 0, 0), exog_names=("x",)))
+
+    def test_misshaped_exog_rejected(self):
+        # a reshape would take a transposed (k, n) exog and fit the scrambled
+        # values; only (n, k), or a length-n vector when k is 1, is accepted
+        rng = np.random.default_rng(43)
+        n, horizon = 120, 6
+        X = rng.normal(size=(n + horizon, 2))
+        y = 1.0 + X[:n] @ np.array([2.0, -1.2]) + rng.normal(0, 0.3, size=n)
+        spec = SarimaxSpec((0, 0, 0), exog_names=("a", "b"))
+        for bad in (X[:n].T, X[:n].ravel(), X[:n, :1]):
+            with pytest.raises(ValueError, match=rf"shape {re.escape(str(bad.shape))}; expected \({n}, 2\)"):
+                sarimax_fit(y, spec, exog=bad)
+        fit = sarimax_fit(y, spec, exog=X[:n])
+        np.testing.assert_allclose(fit.exog_coef, [2.0, -1.2], atol=0.1)
+        for bad in (X[n:].T, X[n:].ravel()):
+            with pytest.raises(ValueError, match=rf"future_exog has shape .*; expected \({horizon}, 2\)"):
+                sarimax_forecast(fit, horizon, future_exog=bad)
+        assert sarimax_forecast(fit, horizon, future_exog=X[n:])[0].shape == (horizon,)
+
+        one = SarimaxSpec((0, 0, 0), exog_names=("a",))
+        vector_fit = sarimax_fit(y, one, exog=X[:n, 0])
+        column_fit = sarimax_fit(y, one, exog=X[:n, :1])
+        assert vector_fit.log_likelihood == column_fit.log_likelihood
+        np.testing.assert_array_equal(
+            sarimax_forecast(vector_fit, horizon, future_exog=X[n:, 0])[0],
+            sarimax_forecast(column_fit, horizon, future_exog=X[n:, :1])[0],
+        )
+        with pytest.raises(ValueError, match=rf"shape \(1, {n}\); expected \({n}, 1\)"):
+            sarimax_fit(y, one, exog=X[:n, :1].T)
 
     def test_too_short_series(self):
         with pytest.raises(FitError):
