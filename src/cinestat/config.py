@@ -83,7 +83,8 @@ SCHEMA = {
     "dataset": _PATH,
     "output_dir": _PATH,
     "column_map": _string_map("a JSON object of strings to strings", None),
-    "models": (f"a list of names from {list(ALL_MODELS)}", lambda v: _strings(v, ALL_MODELS)),
+    "models": (f"a list of distinct names from {list(ALL_MODELS)}",
+               lambda v: _strings(v, ALL_MODELS) and len(set(v)) == len(v)),
     "features": _feature_lists("features"),
     "features_2020": _feature_lists("features_2020"),
     "slr_candidates": _FEATURE_LIST,

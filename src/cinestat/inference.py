@@ -28,15 +28,6 @@ class StatTestResult:
         if self.p_value is not None:
             self.reject_at_5pct = bool(self.p_value < ALPHA)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "df": self.df,
-            "reject_at_5pct": self.reject_at_5pct,
-        }
-
 
 def r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     """Coefficient of determination of ``fitted`` against ``y``, about the mean."""

@@ -40,7 +40,7 @@ def run_stage(stage: str, fn, *args):
 
 
 def _py(value):
-    """Recursively convert numpy scalars/arrays for JSON round-tripping."""
+    """The report value in JSON types, recursively; a non-finite float becomes its repr."""
     if isinstance(value, dict):
         return {k: _py(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -54,6 +54,8 @@ def _py(value):
         return int(value)
     if isinstance(value, np.bool_):
         return bool(value)
+    if isinstance(value, inference.StatTestResult):
+        return _py(dataclasses.asdict(value))
     return value
 
 
@@ -67,10 +69,10 @@ def run_pipeline(config: RunConfig) -> dict:
         "config": {
             "dataset": config.dataset,
             "seed": config.seed,
-            "bin_thresholds": list(config.bin_thresholds),
+            "bin_thresholds": config.bin_thresholds,
             "ridge_lambda": config.ridge_lambda,
             "lasso_lambda": config.lasso_lambda,
-            "models": list(config.models),
+            "models": config.models,
         },
         "models": {},
     }
@@ -180,10 +182,10 @@ def _regression_diagnostics(fit, train_dm):
         "coefficients": {"intercept": fit.intercept, **fit.named},
         "r2": r2,
         "adjusted_r2": adj_r2,
-        "f_statistic": f_test.to_dict(),
-        "durbin_watson": dw.to_dict(),
-        "jarque_bera": jb.to_dict(),
-        "lagrange_multiplier": lm.to_dict(),
+        "f_statistic": f_test,
+        "durbin_watson": dw,
+        "jarque_bera": jb,
+        "lagrange_multiplier": lm,
         "validity": {"valid": valid, "reasons": reasons},
     }
 
@@ -230,7 +232,7 @@ def _fit_logistic_model(name, config, train, val, binner):
         raise ValueError(NO_COMPLETE_VALIDATION_ROW)
     hit = binner(val.columns["metascore"][kept]) == ClassLabel.HIT
     auc = inference.roc_auc(linear_models.predict_proba(fit, Xv), hit.astype(int))
-    wald = [r.to_dict() for r in inference.wald_test(fit)] if fit.converged else []
+    wald = inference.wald_test(fit) if fit.converged else []
     row = {
         "family": "logistic",
         "features": feats,
@@ -365,37 +367,32 @@ def fit_and_forecast(config: RunConfig, table: MovieTable):
 
 def _timeseries_section(config, table):
     series, fit, forecast_rows = fit_and_forecast(config, table)
-    adf = timeseries.adf_test(series.values)
-    lb = timeseries.ljung_box(fit.residuals, lags=min(10, fit.nobs - 1))
     resid = fit.residuals
-    jb = inference.jarque_bera(resid)
-    dw = inference.durbin_watson(resid)
     skewness, kurtosis = inference.moments(resid)
     table = {
-        "adf": adf.to_dict(),
-        "selected_order": list(fit.spec.order),
-        "selected_seasonal_order": list(fit.spec.seasonal_order),
-        "exogenous": list(config.sarimax_exog),
+        "adf": timeseries.adf_test(series.values),
+        "selected_order": fit.spec.order,
+        "selected_seasonal_order": fit.spec.seasonal_order,
+        "exogenous": config.sarimax_exog,
         "parameters": fit.parameter_dict(),
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
         "bic": fit.bic,
         "hqic": fit.hqic,
         "rmse": fit.one_step_rmse,
-        "ljung_box": lb.to_dict(),
-        "jarque_bera": jb.to_dict(),
-        "durbin_watson": dw.to_dict(),
+        "ljung_box": timeseries.ljung_box(resid, lags=min(10, fit.nobs - 1)),
+        "jarque_bera": inference.jarque_bera(resid),
+        "durbin_watson": inference.durbin_watson(resid),
         "skewness": skewness,
         "kurtosis": kurtosis,
         "converged": fit.converged,
-        "n_interpolated_months": int(series.interpolated.sum()),
+        "n_interpolated_months": series.interpolated.sum(),
     }
     series_out = {
         "monthly_metascore": [
-            [m.isoformat(), float(v), bool(flag)]
-            for m, v, flag in zip(series.months, series.values, series.interpolated)
+            [m.isoformat(), v, flag] for m, v, flag in zip(series.months, series.values, series.interpolated)
         ],
-        "forecast": [[m.isoformat(), float(p), float(lo), float(hi)] for m, p, lo, hi in forecast_rows],
+        "forecast": [[m.isoformat(), p, lo, hi] for m, p, lo, hi in forecast_rows],
     }
     return table, series_out
 

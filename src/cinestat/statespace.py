@@ -24,7 +24,10 @@ are the cheapest ones that give the bits of the plain matrix form, which
 1, the specs with no MA part and at most one AR lag, runs the stationary
 start and the Riccati phase on Python floats instead: numpy takes a product
 of 1 x 1 arrays as one multiplication, so the same float operations in the
-same order give the same bits, without a numpy call per operation.
+same order give the same bits, without a numpy call per operation.  Its
+gain P / P is 1 = R[0] when the model builds it, so it freezes by its second
+step under the plain rule; the freeze test's shortcuts (the gain's last
+entry, the bound ``cap``) belong to the array loop, whose phase runs long.
 
 On a long series with a small state, a likelihood evaluation is mostly
 fixed cost: its arithmetic over 1,439 months takes a few microseconds, and
@@ -111,19 +114,11 @@ class SarimaxFit:
     _tail: np.ndarray = field(repr=False)
 
     def parameter_dict(self) -> dict[str, float]:
-        out = {}
-        if self.spec.includes_mean:
-            out["mean"] = self.mean
-        for name, b in zip(self.spec.exog_names, self.exog_coef):
-            out[f"beta[{name}]"] = float(b)
-        for i, v in enumerate(self.ar, 1):
-            out[f"ar{i}"] = float(v)
-        for i, v in enumerate(self.ma, 1):
-            out[f"ma{i}"] = float(v)
-        for i, v in enumerate(self.seasonal_ar, 1):
-            out[f"sar{i}"] = float(v)
-        for i, v in enumerate(self.seasonal_ma, 1):
-            out[f"sma{i}"] = float(v)
+        out = {"mean": self.mean} if self.spec.includes_mean else {}
+        out.update(zip((f"beta[{name}]" for name in self.spec.exog_names), self.exog_coef))
+        lags = {"ar": self.ar, "ma": self.ma, "sar": self.seasonal_ar, "sma": self.seasonal_ma}
+        for prefix, coeffs in lags.items():
+            out.update((f"{prefix}{i}", v) for i, v in enumerate(coeffs, 1))
         out["sigma2"] = self.sigma2
         return out
 
@@ -280,18 +275,19 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     # the vector kernels order their sums differently (TestKalmanExactness
     # and TestKalmanFilterBits pin all of this).
     #
-    # The freeze test checks the gain before the covariance, since it is the
-    # cheaper test and fails on most steps, and the gain's last entry as a
-    # Python float before the whole vector.  After the gain settles, the
-    # covariance test still fails for some steps, and ``cap`` settles most
-    # of those without max|P_next|: it bounds max|P| from above (inf when
-    # unknown), max|P_next| <= cap + change, and the factor 1 + 1e-15 covers
-    # the three roundings of that bound.  A change at or above the tolerance
-    # the bound gives is at or above the exact one too.  Each shortcut is
-    # implied by the full rule, so the freeze step is the one that rule gives.
+    # A model-built state of size 1 freezes by its second step, under the
+    # plain rule.  The array loop's Riccati phase can run long, so its freeze
+    # test checks the gain, the cheaper test that fails on most steps, before
+    # the covariance, and the gain's last entry as a Python float before the
+    # whole vector.  After the gain settles, the covariance test still fails
+    # for some steps, and ``cap`` settles most of those without max|P_next|:
+    # it bounds max|P| from above (inf when unknown), max|P_next| <= cap +
+    # change, and 1 + 1e-15 covers the three roundings of that bound.  A
+    # change at or above the tolerance the bound gives is at or above the
+    # exact one too.  Each shortcut is implied by the full rule, so the
+    # freeze step is the one that rule gives.
     v_head, F_head = [], []
     s = n
-    cap = math.inf
     if r == 1:
         T1 = T.item(0)
         R1 = R.item(0)
@@ -308,15 +304,7 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
                 K = P * math.inf  # P is 0: the invalid operation, and NaN, of numpy's 0 / 0
             a = T1 * (a + K * vt)
             P_next = T1 * (P - K * P) * T1 + RR
-            frozen = False
-            if abs(K - R1) < GAIN_TOLERANCE:
-                change = abs(P_next - P)
-                cap = (cap + change) * (1.0 + 1e-15)
-                if not change >= 1e-12 * (1.0 + cap):
-                    cap = abs(P_next)
-                    frozen = change < 1e-12 * (1.0 + cap)
-            else:
-                cap = math.inf
+            frozen = abs(K - R1) < GAIN_TOLERANCE and abs(P_next - P) < 1e-12 * (1.0 + abs(P_next))
             P = P_next
             if frozen:
                 s = t + 1
@@ -328,6 +316,7 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
         RR = np.outer(R, R)
         Tt = np.ascontiguousarray(T.T)
         R_last = R.item(-1)
+        cap = math.inf
         for t in range(n):
             vt = z.item(t) - a.item(0)
             v_head.append(vt)

@@ -35,6 +35,8 @@ class TimeSeries:
                 raise ValueError("months must be consecutive")
         if self.interpolated is None:
             self.interpolated = np.zeros(len(self.months), dtype=bool)
+        elif np.shape(self.interpolated) != (len(self.months),):
+            raise ValueError("interpolated mask must have one flag per month")
         for name, series in self.exog.items():
             self.exog[name] = np.asarray(series, dtype=float)
             if self.exog[name].shape[0] != self.values.shape[0]:
@@ -201,9 +203,7 @@ def sarimax_grid_search(
         except (FitError, ValueError) as exc:
             failures.append(((p, d, q, P, D, Q), str(exc)))
             continue
-        if best is None or fit.aic < best.aic or (
-            fit.aic == best.aic and spec.key() < best.spec.key()
-        ):
+        if best is None or fit.aic < best.aic:  # the combos run in key order
             best = fit
     if best is None:
         raise FitError(f"all grid fits failed: {failures}")

@@ -431,12 +431,14 @@ class TestCli:
             {"features_2020": {"svm": ["avg_vote", "avg_vote"]}},
             {"slr_candidates": []},
             {"slr_candidates": ["metascore"]},
+            {"models": ["mlr", "mlr"]},
         ],
     )
     def test_bad_config_value_exit_2(self, fixture_csv, tmp_path, capsys, overrides):
         cfg_path = self._write_config(tmp_path, small_config_dict(fixture_csv, **overrides))
         assert main(["forecast", "--config", cfg_path]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{next(iter(overrides))} must be" in err
 
     def test_unknown_name_in_a_list_is_a_stage_failure(self, fixture_csv, tmp_path, capsys):
         cfg_path = self._write_config(

@@ -26,6 +26,7 @@ from cinestat.statespace import (
     _pacf_to_coeffs,
     build_state_space,
     concentrated_loglik,
+    difference,
     kalman_filter,
     model_from_parameters,
     sarimax_fit,
@@ -267,19 +268,46 @@ class TestKalmanFilterBits:
             assert self.check(z[:n], T, R) == min(s, n)
 
     @pytest.mark.parametrize(
-        "a, m",
+        "T, R",
         [
-            pytest.param([1.0], [0.3], id="diffuse_start"),
-            pytest.param([1.0], [], id="diffuse_start_r1"),
-            pytest.param([1.5], [], id="explosive_r1"),
-            pytest.param([0.5], [2.0], id="noninvertible_ma"),
-            pytest.param([0.5] + [0.0] * 10 + [0.3, -0.15], [0.0] * 11 + [0.6], id="seasonal_r13"),
+            pytest.param(*build_state_space(np.array([1.0]), np.array([0.3])), id="diffuse_start"),
+            pytest.param(*build_state_space(np.array([1.0]), np.array([])), id="diffuse_start_r1"),
+            pytest.param(*build_state_space(np.array([1.5]), np.array([])), id="explosive_r1"),
+            pytest.param(*build_state_space(np.array([0.5]), np.array([2.0])), id="noninvertible_ma"),
+            pytest.param(
+                *build_state_space(np.array([0.5] + [0.0] * 10 + [0.3, -0.15]), np.array([0.0] * 11 + [0.6])),
+                id="seasonal_r13",
+            ),
+            # state size 1 off the model's R[0] = 1 or with a non-finite
+            # transition: the gain never freezes
+            pytest.param(np.array([[0.5]]), np.array([2.0]), id="loading_2_r1"),
+            pytest.param(np.array([[0.5]]), np.array([0.0]), id="loading_0_r1"),
+            pytest.param(np.array([[np.nan]]), np.array([1.0]), id="nan_transition_r1"),
+            pytest.param(np.array([[np.inf]]), np.array([1.0]), id="inf_transition_r1"),
         ],
     )
-    def test_special_starts(self, a, m):
-        T, R = build_state_space(np.array(a), np.array(m))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's 0 / 0 and inf * 0
+    def test_special_starts(self, T, R):
         z = np.random.default_rng(53).normal(size=300)
         self.check(z, T, R)
+
+    @pytest.mark.parametrize("p, d, D", list(itertools.product((0, 1), repeat=3)))
+    def test_state_size_1_freezes_by_its_second_step(self, p, d, D):
+        # every spec the model builds at state size 1, fed as sarimax_fit
+        # feeds the filter, at 120 seeded draws up to |x| = 1e200: its gain
+        # is P / P = 1 = R[0], so the plain freeze rule ends the Riccati phase
+        spec = SarimaxSpec((p, d, 0), (0, D, 0, SEASONAL_PERIOD), ("x1", "x2"))
+        rng = np.random.default_rng(67 + 4 * p + 2 * d + D)
+        y = rng.normal(size=150).cumsum()
+        X = rng.normal(size=(150, 2))
+        w, wx = difference(y, d, D, SEASONAL_PERIOD), difference(X, d, D, SEASONAL_PERIOD)
+        size = spec.n_params - 1
+        for _ in range(120):
+            zvec = rng.uniform(-1.0, 1.0, size=size) * 10.0 ** rng.uniform(-3.0, 200.0, size=size)
+            mean, beta, *_, T, R = model_from_parameters(zvec, spec)
+            assert T.shape == (1, 1)
+            z = w - mean - wx @ beta
+            assert self.check(z, T, R) <= 2
 
 
 def grid_parameter_draws():

@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cinestat.statespace import (
     stationary_covariance,
     _pacf_to_coeffs,
 )
+from cinestat import timeseries
 from cinestat.timeseries import (
     TimeSeries,
     _adf_p_value,
@@ -780,6 +782,10 @@ class TestMonthlyAggregation:
         months = [datetime.date(2000, 1, 1), datetime.date(2000, 2, 1)]
         with pytest.raises(ValueError):
             TimeSeries(months, np.zeros(2), exog={"x": np.zeros(3)})
+        # a mask of another shape would drop months from the report's series
+        for shape in [(3,), (2, 1)]:
+            with pytest.raises(ValueError, match="interpolated"):
+                TimeSeries(months, np.zeros(2), interpolated=np.zeros(shape, dtype=bool))
 
     def test_future_months_rolls_over_year(self):
         series = TimeSeries([datetime.date(2019, 11, 1), datetime.date(2019, 12, 1)], np.zeros(2))
@@ -886,6 +892,17 @@ class TestGridSearch:
                 fit = sarimax_fit(series.values, SarimaxSpec((p, 0, q)), max_evaluations=200)
                 aics.append(fit.aic)
         assert best.aic == pytest.approx(min(aics), abs=1e-9)
+
+    def test_ties_go_to_the_smallest_key(self, monkeypatch):
+        # every fit with p = 1 ties at the lowest AIC; the lists are unsorted,
+        # so only the search's own order can keep the smallest key
+        def tied_fit(y, spec, exog=None, max_evaluations=None):
+            return types.SimpleNamespace(spec=spec, aic=1.0 if spec.order[0] == 1 else 2.0)
+
+        monkeypatch.setattr(timeseries, "sarimax_fit", tied_fit)
+        grid = {"p": [1, 0], "d": [1, 0], "q": [1, 0], "P": [0], "D": [1, 0], "Q": [1, 0]}
+        best = sarimax_grid_search(make_series(np.zeros(40)), grid=grid)
+        assert best.spec.key() == (1, 0, 0, 0, 0, 0)
 
     def test_all_failures_raise(self):
         series = make_series(np.arange(30.0))
