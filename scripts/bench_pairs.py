@@ -21,12 +21,14 @@ base median.  After the pairs it runs the working tree once more with
 ``--trace 1``, the same workload, seed and seconds: the run that checks each
 traced invocation's output and its winning fit against the likelihood
 oracle.  It prints that run's verdict, ``correct``, its failed samples and
-how many oracle checks ended in each status.  The last line is all of it as
-one JSON object, with the traced run under ``traced`` and every failed pair
-side under ``failures``.  The script exits 1 when a run of any pair, base
-or working tree, is not correct or lost samples (each such side is named
-by its pair index), or when the traced run is not correct.  The temporary
-directory is removed on exit; the repository's git state is not touched.
+how many oracle checks ended in each status, and in how many pairs the two
+sides wrote the same output.  The last line is all of it as one JSON object,
+with that count under ``same_output_pairs``, the traced run under
+``traced`` and every failed pair side under ``failures``.  The script exits
+1 when a run of any pair, base or working tree, is not correct or lost
+samples (each such side is named by its pair index), or when the traced run
+is not correct.  The temporary directory is removed on exit; the
+repository's git state is not touched.
 """
 
 from __future__ import annotations
@@ -185,12 +187,15 @@ def main(argv=None) -> int:
           f"{traced['failed']} of {traced['attempted']} samples failed, "
           "likelihood oracle " + (", ".join(f"{n} {status}" for status, n in Counter(traced["oracle"]).items())
                                   or "not run"), flush=True)
+    same = sum(pair["same_output"] for pair in pairs)
+    print(f"same output in {same} of {len(pairs)} pairs", flush=True)
     failures = pair_failures(pairs)
     for line in failures:
         print(f"FAILED {line}", flush=True)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "base": base_rev, "pairs": pairs, "summary": summary, "traced": traced, "failures": failures,
+        "base": base_rev, "pairs": pairs, "summary": summary, "same_output_pairs": same, "traced": traced,
+        "failures": failures,
     }))
     return 0 if traced["correct"] and not failures else 1
 

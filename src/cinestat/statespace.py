@@ -21,13 +21,10 @@ Before that step, a Riccati step is a handful of numpy calls on r x r
 arrays, and the call overhead, not the arithmetic, sets its cost; the calls
 are the cheapest ones that give the bits of the plain matrix form, which
 ``tests/test_statespace_bits.py`` keeps as the reference.  A state of size
-1, the specs with no MA part and at most one AR lag, runs the stationary
-start and the Riccati phase on Python floats instead: numpy takes a product
-of 1 x 1 arrays as one multiplication, so the same float operations in the
-same order give the same bits, without a numpy call per operation.  Its
-gain P / P is 1 = R[0] when the model builds it, so it freezes by its second
-step under the plain rule; the freeze test's shortcuts (the gain's last
-entry, the bound ``cap``) belong to the array loop, whose phase runs long.
+1, the specs with no MA part and at most one AR lag, is filtered in closed
+form instead (Durbin & Koopman 2012, section 3.4): its stationary start is
+R[0]^2 / (1 - T^2), its gain P / P is 1, so the first observation reveals
+the state, and the steady phase starts at the second.
 
 On a long series with a small state, a likelihood evaluation is mostly
 fixed cost: its arithmetic over 1,439 months takes a few microseconds, and
@@ -182,26 +179,16 @@ def stationary_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray | None:
     """Solve P = T P T' + R R' by the doubling iteration; None when the
     transition is not stable.
 
-    A state of size 1 runs the same iteration on Python floats, with the
-    bits of the array form: numpy's product of 1 x 1 arrays is one
-    multiplication.
+    A state of size 1 takes the closed form R[0]^2 / (1 - T^2), with the
+    denominator factored, which rounds far less near a unit root than
+    1 - T * T.
     """
     if T.shape[0] == 1:
-        A = T.item(0)
-        P = R.item(0) * R.item(0)
-        for _ in range(60):
-            P_next = A * P * A
-            P_next += P
-            A = A * A
-            change = abs(P_next - P)
-            if not math.isfinite(change) and not math.isfinite(P_next):
-                return None
-            if change < 1e-14 * (1.0 + abs(P_next)):
-                if abs(A) > 1e-6:
-                    return None
-                return np.array([[P_next]])
-            P = P_next
-        return None
+        t = T.item(0)
+        if not abs(t) < 1.0:  # a NaN transition is not stable either
+            return None
+        R0 = R.item(0)
+        return np.array([[R0 * R0 / ((1.0 - t) * (1.0 + t))]])
     A = T.copy()
     P = np.outer(R, R)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,10 +239,10 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     with both sums over lags that reach back no further than s, and the
     frozen state a_s carrying what the history before s contributes.
 
-    A state of size 1 runs the Riccati phase, and its start in
-    ``stationary_covariance``, on Python floats: the same operations in the
-    same order give the same bits, and a numpy call on a 1 x 1 array costs
-    far more than the one multiplication it makes.
+    A state of size 1 is filtered in closed form.  Its gain is P / P = 1,
+    so v_0 = z_0 and F_0 = P_0, the first observation reveals the state,
+    a = T z_0 and P = R R', and the steady phase runs from s = 1:
+    v_t = z_t - T z_{t-1} and F_t = R[0]^2.
     """
     r = T.shape[0]
     P = initial_covariance(T, R)
@@ -275,42 +262,26 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     # the vector kernels order their sums differently (TestKalmanExactness
     # and TestKalmanFilterBits pin all of this).
     #
-    # A model-built state of size 1 freezes by its second step, under the
-    # plain rule.  The array loop's Riccati phase can run long, so its freeze
-    # test checks the gain, the cheaper test that fails on most steps, before
-    # the covariance, and the gain's last entry as a Python float before the
-    # whole vector.  After the gain settles, the covariance test still fails
-    # for some steps, and ``cap`` settles most of those without max|P_next|:
-    # it bounds max|P| from above (inf when unknown), max|P_next| <= cap +
+    # The Riccati phase can run long, so its freeze test checks the gain,
+    # the cheaper test that fails on most steps, before the covariance, and
+    # the gain's last entry as a Python float before the whole vector.
+    # After the gain settles, the covariance test still fails for some
+    # steps, and ``cap`` settles most of those without max|P_next|: it
+    # bounds max|P| from above (inf when unknown), max|P_next| <= cap +
     # change, and 1 + 1e-15 covers the three roundings of that bound.  A
     # change at or above the tolerance the bound gives is at or above the
     # exact one too.  Each shortcut is implied by the full rule, so the
     # freeze step is the one that rule gives.
     v_head, F_head = [], []
     s = n
-    if r == 1:
-        T1 = T.item(0)
-        R1 = R.item(0)
-        RR = R1 * R1
-        a = 0.0
-        P = P.item(0)
-        for t in range(n):
-            vt = z.item(t) - a
-            v_head.append(vt)
-            F_head.append(P)
-            try:
-                K = P / P
-            except ZeroDivisionError:
-                K = P * math.inf  # P is 0: the invalid operation, and NaN, of numpy's 0 / 0
-            a = T1 * (a + K * vt)
-            P_next = T1 * (P - K * P) * T1 + RR
-            frozen = abs(K - R1) < GAIN_TOLERANCE and abs(P_next - P) < 1e-12 * (1.0 + abs(P_next))
-            P = P_next
-            if frozen:
-                s = t + 1
-                break
-        a = np.array([a])
-        P = np.array([[P]])
+    if r == 1 and n:
+        # closed form: the first observation reveals the state
+        z0 = z.item(0)
+        v_head.append(z0)
+        F_head.append(P.item(0))
+        a = np.array([T.item(0) * z0])
+        P = np.array([[R.item(0) * R.item(0)]])
+        s = 1
     else:
         a = np.zeros(r)
         RR = np.outer(R, R)

@@ -149,6 +149,33 @@ def test_pair_failures_name_the_pair_and_the_side():
     assert bench_pairs.pair_failures(pairs[:1]) == []
 
 
+def fake_git(cmd, **kwargs):
+    # rev-parse names a revision, archive exports an empty tree
+    empty = io.BytesIO()
+    tarfile.open(fileobj=empty, mode="w").close()
+    return subprocess.CompletedProcess(cmd, 0, stdout="0" * 40 if "rev-parse" in cmd else empty.getvalue())
+
+
+def test_main_counts_the_pairs_with_the_same_output(monkeypatch, capsys):
+    # the head writes other bytes in pair 1 only
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        k, side = len(calls) // 2, "head" if tree == bench_pairs.ROOT else "base"
+        calls.append((k, side))
+        return {**run_result(), "output_sha256": ["cd" if (k, side) == (1, "head") else "ab"]}
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_git)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args, **kwargs: traced_result())
+    assert bench_pairs.main(["--workload", "scale_run", "--pairs", "3", "--seconds", "1"]) == 0
+    out = capsys.readouterr().out
+    closing = json.loads(out.strip().splitlines()[-1])
+    assert [pair["same_output"] for pair in closing["pairs"]] == [True, False, True]
+    assert closing["same_output_pairs"] == 2
+    assert "same output in 2 of 3 pairs" in out
+
+
 @pytest.mark.parametrize("bad_pair, bad_side", [(None, None), (0, "base"), (2, "head")])
 def test_main_exits_1_when_any_pair_fails(monkeypatch, capsys, bad_pair, bad_side):
     # a run judged incorrect in any pair fails the script, even when the
@@ -159,12 +186,6 @@ def test_main_exits_1_when_any_pair_fails(monkeypatch, capsys, bad_pair, bad_sid
         k, side = len(calls) // 2, "head" if tree == bench_pairs.ROOT else "base"
         calls.append((k, side))
         return run_result(correct=(k, side) != (bad_pair, bad_side))
-
-    def fake_git(cmd, **kwargs):
-        # rev-parse names a revision, archive exports an empty tree
-        empty = io.BytesIO()
-        tarfile.open(fileobj=empty, mode="w").close()
-        return subprocess.CompletedProcess(cmd, 0, stdout="0" * 40 if "rev-parse" in cmd else empty.getvalue())
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_git)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)

@@ -606,6 +606,10 @@ class TestPublicFitPath:
     @pytest.mark.parametrize("order, seasonal_order", [
         ((1, 0, 1), (1, 0, 0, 12)),
         ((0, 1, 1), (1, 0, 1, 12)),
+        # state size 1, filtered in closed form: scale_run's and
+        # forecast_long's shapes
+        ((1, 0, 0), (0, 0, 0, 12)),
+        ((1, 1, 0), (0, 0, 0, 12)),
     ])
     def test_loglik_matches_dense_gaussian(self, order, seasonal_order):
         # the reported log-likelihood must be the joint-Gaussian density of
