@@ -2,24 +2,27 @@
 
 Usage: python3 scripts/bench_pairs.py --workload scale_run --pairs 10 [--base HEAD] [--seed 1] [--seconds 35]
 
-Exports the base revision's committed files (``git archive``) into a
-temporary directory, then runs
+Exports two trees into a temporary directory: the base revision's
+committed files (``git archive``) and this working tree, that is every
+existing path of ``git ls-files --cached --others --exclude-standard`` with
+its working-tree bytes.  Both sides thus run from a fresh directory of the
+same kind, and differ only in their files.  It then runs
 
     perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-there and in this working tree by turns: the base first in even pairs and
-the working tree first in odd ones, so a drift in the host's speed does not
-favour one side.  Prints each pair's end-to-end metrics as they come, and
-whether the two sides wrote the same output (the ``output_sha256`` of each
+in the two exports by turns: the base first in even pairs and the working
+tree first in odd ones, so a drift in the host's speed does not favour one
+side.  Prints each pair's end-to-end metrics as they come, and whether the
+two sides wrote the same output (the ``output_sha256`` of each
 run's results file); at the end, each side's medians, the interquartile
 range of the base's runs, in how many pairs the working tree did better and
 two verdicts per metric: whether a gain claim holds (the working tree lower
 in at least 9 of every 10 pairs, and the medians further apart than the
 base's IQR) and whether the working tree's median is worse than the base's
 by more than the metric's ``bound`` in BENCHMARK.json, a fraction of the
-base median.  After the pairs it runs the working tree once more with
-``--trace 1``, the same workload, seed and seconds: the run that checks each
-traced invocation's output and its winning fit against the likelihood
+base median.  After the pairs it runs the working tree's export once more
+with ``--trace 1``, the same workload, seed and seconds: the run that checks
+each traced invocation's output and its winning fit against the likelihood
 oracle.  It prints that run's verdict, ``correct``, its failed samples and
 how many oracle checks ended in each status, and in how many pairs the two
 sides wrote the same output.  The last line is all of it as one JSON object,
@@ -36,6 +39,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +58,21 @@ TRACED_METRICS = (
     "statespace.stationary_covariance.diffuse_fallbacks", "statespace.kalman_filter.s",
     "statespace.sarimax_fit.s", "statespace.loglik_evals_per_fit", "timeseries.sarimax_grid_search.s",
 )
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """The working tree of the repository at ``root`` as git sees it, copied
+    into ``dest``: tracked and untracked files that are not ignored, with
+    their current bytes.  A tracked file deleted from the working tree is
+    left out."""
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout
+    for name in os.fsdecode(listing).split("\0"):
+        if name and (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -155,13 +175,13 @@ def main(argv=None) -> int:
         ["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.strip()
-    trees = {"head": ROOT}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees["base"] = Path(tmp) / "base"
+        trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
         archive = subprocess.run(["git", "archive", "--format=tar", base_rev], cwd=ROOT, capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(trees["base"], filter="data")
+        export_worktree(ROOT, trees["head"])
         print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run: base {base_rev[:12]} against the working tree")
         for k in range(args.pairs):
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
@@ -176,13 +196,13 @@ def main(argv=None) -> int:
             ) + "".join(
                 f"  [{side}: {why}]" for side in ("base", "head") if (why := run_failure(pair[side]))
             ), flush=True)
+        traced = traced_verdict(run_bench(trees["head"], args.workload, args.seed, args.seconds, trace=1))
     summary = summarize(pairs)
     for name, s in summary.items():
         print(f"{name}: median {s['base_median']:.3f} -> {s['head_median']:.3f} "
               f"(base IQR {s['base_iqr']:.3f}), working tree lower in {s['head_better_pairs']} of {len(pairs)} pairs; "
               f"gain claim {'met' if s['claim_met'] else 'not met'}, "
               f"{'worse than' if s['regressed'] else 'within'} the bound")
-    traced = traced_verdict(run_bench(ROOT, args.workload, args.seed, args.seconds, trace=1))
     print(f"traced run of the working tree: {'correct' if traced['correct'] else 'NOT correct'}, "
           f"{traced['failed']} of {traced['attempted']} samples failed, "
           "likelihood oracle " + (", ".join(f"{n} {status}" for status, n in Counter(traced["oracle"]).items())

@@ -23,15 +23,12 @@ class LinearFit:
     feature_names: list[str]
     coefficients: np.ndarray
     lam: float = 0.0
-    penalty: str = "none"  # none | L2 | L1
     converged: bool = True
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if len(self.feature_names) != self.coefficients.shape[0]:
             raise ValueError("coefficient names must match coefficient count")
-        if (self.lam == 0.0) != (self.penalty == "none"):
-            raise ValueError("lambda = 0 iff penalty = none")
 
     @property
     def named(self) -> dict[str, float]:
@@ -74,7 +71,7 @@ def fit_ridge(X: DesignMatrix, lam: float) -> LinearFit:
     A = Xc.T @ Xc + lam * np.eye(X.p)
     beta = cholesky_solve(A, Xc.T @ yc)
     intercept = y_mean - float(x_mean @ beta)
-    return LinearFit(intercept, X.column_names, beta, lam=lam, penalty="L2")
+    return LinearFit(intercept, X.column_names, beta, lam=lam)
 
 
 def fit_lasso(X: DesignMatrix, lam: float) -> LinearFit:
@@ -116,7 +113,7 @@ def fit_lasso(X: DesignMatrix, lam: float) -> LinearFit:
     beta_orig = beta / scale
     beta_orig[~active] = 0.0
     intercept = y_mean - float(x_mean @ beta_orig)
-    return LinearFit(intercept, X.column_names, beta_orig, lam=lam, penalty="L1", converged=converged)
+    return LinearFit(intercept, X.column_names, beta_orig, lam=lam, converged=converged)
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:

@@ -22,7 +22,6 @@ TOL = 1e-4
 
 @dataclass
 class MlpModel:
-    layer_sizes: tuple[int, int, int]
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
@@ -37,7 +36,6 @@ class MlpModel:
 class TrainTrace:
     losses: list[float] = field(default_factory=list)
     best_validation_score: float = 0.0
-    stopped_epoch: int = 0
     diverged: bool = False
 
 
@@ -48,7 +46,6 @@ def mlp_init(seed: int, layer_sizes: tuple[int, int, int]) -> MlpModel:
     lim1 = np.sqrt(6.0 / (n_in + n_hid))
     lim2 = np.sqrt(6.0 / (n_hid + n_out))
     return MlpModel(
-        layer_sizes=layer_sizes,
         W1=rng.uniform(-lim1, lim1, size=(n_in, n_hid)),
         b1=np.zeros(n_hid),
         W2=rng.uniform(-lim2, lim2, size=(n_hid, n_out)),
@@ -79,8 +76,8 @@ def _forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def mlp_forward(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"expected {model.layer_sizes[0]} input columns, got {X.shape[1]}")
+    if X.shape[1] != model.W1.shape[0]:
+        raise ValueError(f"expected {model.W1.shape[0]} input columns, got {X.shape[1]}")
     return _forward(model, X)[1]
 
 
@@ -133,9 +130,7 @@ def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
     params = model.parameters()
     theta = np.concatenate(params, axis=None)
     parts = np.split(theta, np.cumsum([p.size for p in params])[:-1])
-    model = MlpModel(
-        model.layer_sizes, *(part.reshape(p.shape) for part, p in zip(parts, params)), model.seed
-    )
+    model = MlpModel(*(part.reshape(p.shape) for part, p in zip(parts, params)), model.seed)
 
     split_rng = np.random.default_rng(model.seed)
     order = split_rng.permutation(n)
@@ -169,7 +164,6 @@ def mlp_train(model: MlpModel, X, labels, max_epochs: int = 500):
 
         loss = mlp_loss(model, Xt, Yt)
         trace.losses.append(loss)
-        trace.stopped_epoch = epoch
         if not np.isfinite(loss):
             trace.diverged = True
             break

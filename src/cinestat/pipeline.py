@@ -313,7 +313,7 @@ def _fit_ann(name, config, train, val, binner):
         "n_training_examples": len(Xt),
         "initial_loss": trace.losses[0] if trace.losses else None,
         "final_loss": trace.losses[-1] if trace.losses else None,
-        "stopped_epoch": trace.stopped_epoch,
+        "stopped_epoch": len(trace.losses),
         "best_validation_score": trace.best_validation_score,
     }
     row = {"family": "neural", "features": feats}

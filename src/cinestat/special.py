@@ -1,9 +1,10 @@
 """Tail probabilities for the chi-square and F distributions.
 
 The regularized incomplete gamma function uses the classic split: a power
-series for x < a+1 and a Lentz continued fraction otherwise.  The
-regularized incomplete beta function uses the Lentz continued fraction with
-the symmetry flip at x = (a+1)/(a+b+2).  log-gamma comes from the stdlib.
+series for x < a+1 and a continued fraction otherwise.  The regularized
+incomplete beta function uses a continued fraction with the symmetry flip at
+x = (a+1)/(a+b+2).  One modified-Lentz loop evaluates both fractions
+(Thompson & Barnett 1986).  log-gamma comes from the stdlib.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ _TINY = 1e-300
 
 def gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("a must be positive")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 1.0
@@ -41,34 +42,45 @@ def _gamma_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_cf(a: float, x: float) -> float:
-    # Lentz's method for the continued fraction of Q(a, x).
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+def _lentz(c: float, d: float, terms) -> float:
+    """Modified Lentz evaluation of a continued fraction from its first
+    ratios ``c`` and ``d`` (``d`` already inverted).  ``terms`` yields groups
+    of (partial numerator, partial denominator) pairs; convergence is tested
+    after each group."""
     h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+    for group in terms:
+        for an, b in group:
+            d = b + an * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
+
+
+def _gamma_cf(a: float, x: float) -> float:
+    b = x + 1.0 - a
+    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    return _lentz(1.0 / _TINY, d, _gamma_terms(a, b)) * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gamma_terms(a: float, b: float):
+    for i in range(1, _MAX_ITER + 1):
+        b += 2.0
+        yield ((-i * (i - a), b),)
 
 
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("a and b must be positive")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     if x == 0.0:
         return 0.0
@@ -84,37 +96,16 @@ def betainc(a: float, b: float, x: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
+    # each group is one odd and one even step of the fraction
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _TINY:
         d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+    return _lentz(1.0, 1.0 / d, (
+        ((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
+         (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0))
+        for m in range(1, _MAX_ITER + 1)
+    ))
 
 
 def chi2_sf(x: float, df: float) -> float:

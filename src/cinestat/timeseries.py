@@ -21,46 +21,41 @@ ADF_CRITICAL = ((0.01, -3.43), (0.05, -2.86), (0.10, -2.57))
 
 @dataclass
 class TimeSeries:
-    months: list[datetime.date]  # first-of-month, strictly increasing, no gaps
+    start: int  # first month as year * 12 + month - 1, MovieTable.month's encoding
     values: np.ndarray
     exog: dict[str, np.ndarray] = field(default_factory=dict)
     interpolated: np.ndarray = None  # bool mask of gap-filled months
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.months) != self.values.shape[0]:
-            raise ValueError("timestamps and values must align")
-        for i in range(1, len(self.months)):
-            if _month_index(self.months[i]) != _month_index(self.months[i - 1]) + 1:
-                raise ValueError("months must be consecutive")
         if self.interpolated is None:
-            self.interpolated = np.zeros(len(self.months), dtype=bool)
-        elif np.shape(self.interpolated) != (len(self.months),):
+            self.interpolated = np.zeros(self.n, dtype=bool)
+        elif np.shape(self.interpolated) != (self.n,):
             raise ValueError("interpolated mask must have one flag per month")
+        self.exog = {name: np.asarray(series, dtype=float) for name, series in self.exog.items()}
         for name, series in self.exog.items():
-            self.exog[name] = np.asarray(series, dtype=float)
-            if self.exog[name].shape[0] != self.values.shape[0]:
+            if series.shape[0] != self.n:
                 raise ValueError(f"exogenous series {name!r} misaligned")
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def months(self) -> list[datetime.date]:
+        """First of each month of the series."""
+        return _month_dates(self.start, self.n)
+
     def exog_matrix(self, names) -> np.ndarray:
         return np.column_stack([self.exog[name] for name in names]) if names else None
 
 
-def _month_index(day: datetime.date) -> int:
-    return day.year * 12 + day.month - 1
-
-
-def _month_from_index(idx: int) -> datetime.date:
-    return datetime.date(idx // 12, idx % 12 + 1, 1)
+def _month_dates(first: int, count: int) -> list[datetime.date]:
+    return [datetime.date(i // 12, i % 12 + 1, 1) for i in range(first, first + count)]
 
 
 def future_months(series: TimeSeries, horizon: int) -> list[datetime.date]:
-    last = _month_index(series.months[-1])
-    return [_month_from_index(last + h) for h in range(1, horizon + 1)]
+    return _month_dates(series.start + series.n, horizon)
 
 
 def _monthly_means(month: np.ndarray, values: np.ndarray, full_range: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +98,7 @@ def aggregate_monthly(table, exog_fields: tuple[str, ...] = ()) -> TimeSeries:
         else:
             exog[fld], _ = _monthly_means(month, scored.columns[fld][order], full_range)
 
-    months = [_month_from_index(i) for i in full_range.tolist()]
-    return TimeSeries(months, values, exog=exog, interpolated=flags)
+    return TimeSeries(int(month[0]), values, exog=exog, interpolated=flags)
 
 
 def acf(series, nlags: int) -> np.ndarray:

@@ -150,10 +150,35 @@ def test_pair_failures_name_the_pair_and_the_side():
 
 
 def fake_git(cmd, **kwargs):
-    # rev-parse names a revision, archive exports an empty tree
+    # rev-parse names a revision, archive exports an empty tree and
+    # ls-files lists no working-tree file
     empty = io.BytesIO()
     tarfile.open(fileobj=empty, mode="w").close()
-    return subprocess.CompletedProcess(cmd, 0, stdout="0" * 40 if "rev-parse" in cmd else empty.getvalue())
+    stdout = "0" * 40 if "rev-parse" in cmd else b"" if "ls-files" in cmd else empty.getvalue()
+    return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+
+def test_export_worktree_copies_what_git_sees(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    for name, text in {"kept.txt": "old", "sub/gone.txt": "x", ".gitignore": "*.log\n"}.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "kept.txt").write_text("modified")
+    (repo / "new.txt").write_text("untracked")
+    (repo / "run.log").write_text("ignored")
+    (repo / "sub" / "gone.txt").unlink()
+    bench_pairs.export_worktree(repo, dest)
+    files = {str(f.relative_to(dest)): f.read_text() for f in dest.rglob("*") if f.is_file()}
+    assert files == {"kept.txt": "modified", "new.txt": "untracked", ".gitignore": "*.log\n"}
 
 
 def test_main_counts_the_pairs_with_the_same_output(monkeypatch, capsys):
@@ -161,14 +186,17 @@ def test_main_counts_the_pairs_with_the_same_output(monkeypatch, capsys):
     calls = []
 
     def fake_run_once(tree, workload, seed, seconds):
-        k, side = len(calls) // 2, "head" if tree == bench_pairs.ROOT else "base"
+        k, side = len(calls) // 2, tree.name
         calls.append((k, side))
         return {**run_result(), "output_sha256": ["cd" if (k, side) == (1, "head") else "ab"]}
 
+    traced_trees = []
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_git)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args, **kwargs: traced_result())
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, *a, **kw: traced_trees.append(tree) or traced_result())
     assert bench_pairs.main(["--workload", "scale_run", "--pairs", "3", "--seconds", "1"]) == 0
+    # every run, the traced one too, is made in an export, never in this checkout
+    assert [tree.name for tree in traced_trees] == ["head"] and traced_trees[0] != bench_pairs.ROOT
     out = capsys.readouterr().out
     closing = json.loads(out.strip().splitlines()[-1])
     assert [pair["same_output"] for pair in closing["pairs"]] == [True, False, True]
@@ -183,7 +211,7 @@ def test_main_exits_1_when_any_pair_fails(monkeypatch, capsys, bad_pair, bad_sid
     calls = []
 
     def fake_run_once(tree, workload, seed, seconds):
-        k, side = len(calls) // 2, "head" if tree == bench_pairs.ROOT else "base"
+        k, side = len(calls) // 2, tree.name
         calls.append((k, side))
         return run_result(correct=(k, side) != (bad_pair, bad_side))
 

@@ -87,7 +87,7 @@ class TestRidge:
 
     def test_metadata(self):
         fit = fit_ridge(dm([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]), 2.0)
-        assert fit.penalty == "L2" and fit.lam == 2.0
+        assert fit.lam == 2.0
 
 
 class TestLasso:

@@ -159,7 +159,7 @@ class TestTrain:
         trained, trace = mlp_train(model, X, y, 200)
         assert mlp_accuracy(trained, X, y) > 0.95
         assert not trace.diverged
-        assert len(trace.losses) == trace.stopped_epoch
+        assert 0 < len(trace.losses) <= 200
 
     def test_deterministic(self):
         X, y = blob_data(seed=1)
@@ -168,7 +168,6 @@ class TestTrain:
         np.testing.assert_array_equal(a.W1, b.W1)
         np.testing.assert_array_equal(a.W2, b.W2)
         assert ta.losses == tb.losses
-        assert ta.stopped_epoch == tb.stopped_epoch
 
     def test_early_stopping_on_random_labels(self):
         # unlearnable labels: validation loss stops improving and training
@@ -177,7 +176,7 @@ class TestTrain:
         X = rng.normal(size=(120, 4))
         y = rng.integers(0, 3, 120)
         _, trace = mlp_train(mlp_init(0, (4, 10, 3)), X, y, 500)
-        assert trace.stopped_epoch < 500
+        assert len(trace.losses) < 500
 
     def test_training_loss_falls_within_fifty_epochs(self):
         X, y = blob_data(seed=3)
@@ -352,7 +351,7 @@ class TestBitsMatchTheReference:
         for got, want in zip(trained.parameters(), expected.parameters()):
             assert same_bits(got, want)
         assert same_bits(trace.losses, losses)
-        assert trace.stopped_epoch == stopped
+        assert len(trace.losses) == stopped
         assert same_bits(trace.best_validation_score, best_score)
         assert trace.diverged == diverged
         if inputs is early_stopping_inputs:

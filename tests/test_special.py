@@ -26,6 +26,24 @@ def test_incomplete_beta_matches_reference(a, b, x):
     assert betainc(a, b, x) == pytest.approx(sps.betainc(a, b, x), abs=1e-12)
 
 
+# the continued fractions near the switch points, where they take the most
+# steps, up to a = b = 1,000 (the error grows past that: 1.6e-12 at a = 3,000)
+@pytest.mark.parametrize("a", [0.5, 3.0, 40.0, 300.0, 1000.0])
+@pytest.mark.parametrize("rel", [1.0, 1.001, 1.05, 1.3])
+def test_incomplete_gamma_continued_fraction(a, rel):
+    x = (a + 1.0) * rel
+    assert gammainc_upper(a, x) == pytest.approx(sps.gammaincc(a, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.5, 4.0, 90.0, 1000.0])
+@pytest.mark.parametrize("b", [0.5, 7.0, 250.0, 1000.0])
+@pytest.mark.parametrize("t", [-0.02, -0.001, 0.0, 0.001, 0.02])
+def test_incomplete_beta_near_the_flip(a, b, t):
+    s = (a + 1.0) / (a + b + 2.0)
+    x = s + t * min(s, 1.0 - s)
+    assert betainc(a, b, x) == pytest.approx(sps.betainc(a, b, x), abs=1e-12)
+
+
 def test_chi2_sf_grid():
     for stat in [0.1, 0.5, 1.0, 3.84, 10.0, 40.0]:
         for df in [1, 2, 5, 10, 30]:
@@ -53,3 +71,15 @@ def test_edge_cases():
         gammainc_upper(1.0, -1.0)
     with pytest.raises(ValueError):
         betainc(1.0, 1.0, 1.5)
+    # a NaN p-value would read as "not significant" and pass every check
+    nan = float("nan")
+    for args in [(nan, 1.0), (1.0, nan)]:
+        with pytest.raises(ValueError):
+            gammainc_upper(*args)
+    for args in [(nan, 1.0, 0.5), (1.0, nan, 0.5), (1.0, 1.0, nan)]:
+        with pytest.raises(ValueError):
+            betainc(*args)
+    with pytest.raises(ValueError):
+        chi2_sf(nan, 2)
+    with pytest.raises(ValueError):
+        f_sf(nan, 1, 5)

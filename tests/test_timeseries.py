@@ -731,7 +731,8 @@ class TestMonthlyAggregation:
         np.testing.assert_allclose(series.values, [70.0, 60.0, 50.0])
         np.testing.assert_array_equal(series.interpolated, [False, True, False])
         np.testing.assert_allclose(series.exog["movie_count"], [2.0, 0.0, 1.0])
-        assert series.months[0] == datetime.date(2000, 1, 1)
+        assert series.start == 2000 * 12
+        assert series.months == [datetime.date(2000, m, 1) for m in (1, 2, 3)]
 
     def test_matches_per_month_reference(self, tmp_path):
         # rows in random month order with non-integer values and gaps: each
@@ -758,6 +759,7 @@ class TestMonthlyAggregation:
             if not np.isnan(table.columns["metascore"][i]):
                 buckets.setdefault(int(table.month[i]), []).append(i)
         full = list(range(min(buckets), max(buckets) + 1))
+        assert series.start == full[0] and series.n == len(full)
 
         def reference(values_of):
             known = {m: float(np.mean(v)) for m, idx in buckets.items() if (v := values_of(idx))}
@@ -780,19 +782,23 @@ class TestMonthlyAggregation:
             aggregate_monthly(table.take(np.zeros(len(table), dtype=bool)))
 
     def test_timeseries_invariants(self):
-        months = [datetime.date(2000, 1, 1), datetime.date(2000, 3, 1)]
         with pytest.raises(ValueError):
-            TimeSeries(months, np.zeros(2))
-        months = [datetime.date(2000, 1, 1), datetime.date(2000, 2, 1)]
-        with pytest.raises(ValueError):
-            TimeSeries(months, np.zeros(2), exog={"x": np.zeros(3)})
+            TimeSeries(2000 * 12, np.zeros(2), exog={"x": np.zeros(3)})
         # a mask of another shape would drop months from the report's series
         for shape in [(3,), (2, 1)]:
             with pytest.raises(ValueError, match="interpolated"):
-                TimeSeries(months, np.zeros(2), interpolated=np.zeros(shape, dtype=bool))
+                TimeSeries(2000 * 12, np.zeros(2), interpolated=np.zeros(shape, dtype=bool))
+
+    def test_leaves_the_callers_exog_untouched(self):
+        column = [1, 2]
+        exog = {"x": column}
+        series = TimeSeries(2000 * 12, np.zeros(2), exog=exog)
+        assert exog["x"] is column and exog == {"x": [1, 2]}
+        assert series.exog["x"].dtype == float
 
     def test_future_months_rolls_over_year(self):
-        series = TimeSeries([datetime.date(2019, 11, 1), datetime.date(2019, 12, 1)], np.zeros(2))
+        series = TimeSeries(2019 * 12 + 10, np.zeros(2))
+        assert series.months == [datetime.date(2019, 11, 1), datetime.date(2019, 12, 1)]
         assert future_months(series, 3) == [
             datetime.date(2020, 1, 1), datetime.date(2020, 2, 1), datetime.date(2020, 3, 1),
         ]
@@ -873,10 +879,8 @@ class TestLjungBox:
             ljung_box(np.zeros(5), lags=5)
 
 
-def make_series(values, start=datetime.date(2000, 1, 1), exog=None):
-    idx0 = start.year * 12 + start.month - 1
-    months = [datetime.date((idx0 + i) // 12, (idx0 + i) % 12 + 1, 1) for i in range(len(values))]
-    return TimeSeries(months, np.asarray(values, dtype=float), exog=exog or {})
+def make_series(values, start=2000 * 12, exog=None):
+    return TimeSeries(start, np.asarray(values, dtype=float), exog=exog or {})
 
 
 class TestGridSearch:
