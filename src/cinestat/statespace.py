@@ -353,17 +353,18 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     return v, F, a_next, P
 
 
-def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray):
-    """Profile log-likelihood with the innovation variance concentrated out."""
+def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray, skip: int = 0):
+    """Profile log-likelihood with the innovation variance concentrated out:
+    the density of z[skip:] given z[:skip], which the filter still reads."""
     v, F, a, P = kalman_filter(z, T, R)
-    n = z.shape[0]
-    q = v * v  # the sums are np.sum's, without its Python wrapper
-    q /= F
+    n = z.shape[0] - skip
+    q = v[skip:] * v[skip:]  # the sums are np.sum's, without its Python wrapper
+    q /= F[skip:]
     sigma2 = np.add.reduce(q).item() / n
     if sigma2 <= 0 or not math.isfinite(sigma2):
         return -math.inf, 0.0, v, F, a, P
     ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * np.add.reduce(
-        np.log(F, out=q)
+        np.log(F[skip:], out=q)
     ).item()
     return ll, sigma2, v, F, a, P
 
@@ -513,12 +514,19 @@ def sarimax_fit(
     spec: SarimaxSpec,
     exog: np.ndarray | None = None,
     max_evaluations: int = MAX_EVALUATIONS,
+    score_from: int = 0,
 ) -> SarimaxFit:
     """Estimate a SARIMAX model on a plain series (exog as an n x k array
-    aligned with y, column order following spec.exog_names)."""
+    aligned with y, column order following spec.exog_names).
+
+    The likelihood, sigma2, ``nobs`` and the information criteria count the
+    months of y from ``score_from`` on, or from the first differenced month
+    d + sD if that is later; the filter still starts at d + sD.  Fits that
+    share ``score_from`` thus score the same months and can be ranked."""
     y = np.asarray(y, dtype=float)
     _, d, _ = spec.order
     _, D, _, s = spec.seasonal_order
+    skip = max(score_from - d - s * D, 0)
     nx = len(spec.exog_names)
     if nx:
         if exog is None:
@@ -527,10 +535,10 @@ def sarimax_fit(
         wx = difference(exog, d, D, s)
 
     w = difference(y, d, D, s)
-    n = w.shape[0]
+    n = w.shape[0] - skip
     x0 = np.zeros(spec.n_params - 1)
     *_, T0, _ = model_from_parameters(x0, spec)
-    if n <= spec.n_params + 1 or n <= T0.shape[0]:
+    if n <= spec.n_params + 1 or w.shape[0] <= T0.shape[0]:
         raise FitError(f"series too short ({n} points) for spec {spec.key()}")
     if spec.includes_mean:
         x0[0] = float(w.mean())
@@ -541,7 +549,7 @@ def sarimax_fit(
 
     def negloglik(zvec):
         mean, beta, *_, T, R = model_from_parameters(zvec, spec)
-        ll, *_rest = concentrated_loglik(centred(mean, beta), T, R)
+        ll, *_rest = concentrated_loglik(centred(mean, beta), T, R, skip)
         return -ll if math.isfinite(ll) else 1e12
 
     if x0.size:
@@ -551,7 +559,7 @@ def sarimax_fit(
         converged = True
 
     mean, beta, ar, ma, sar, sma, T, R = model_from_parameters(zvec, spec)
-    ll, sigma2, v, F, a_next, P_next = concentrated_loglik(centred(mean, beta), T, R)
+    ll, sigma2, v, F, a_next, P_next = concentrated_loglik(centred(mean, beta), T, R, skip)
     if not np.isfinite(ll):
         raise FitError("likelihood is not finite at the optimum")
 

@@ -183,8 +183,13 @@ def sarimax_grid_search(
 ) -> SarimaxFit:
     """Fit every (p,d,q)(P,D,Q) combination in the grid, with the seasonal
     period SEASONAL_PERIOD, and keep the minimum AIC; ties break toward the
-    lexicographically smallest order tuple."""
+    lexicographically smallest order tuple.
+
+    Every candidate is scored on the same months, those from K = max d +
+    SEASONAL_PERIOD * max D on, so that no candidate's AIC leaves out months
+    that another one counts; a grid with one (d, D) scores them all."""
     exog = series.exog_matrix(exog_names)
+    score_from = max(grid["d"]) + SEASONAL_PERIOD * max(grid["D"])
     best: SarimaxFit | None = None
     failures = []
     combos = sorted(
@@ -193,7 +198,9 @@ def sarimax_grid_search(
     for p, d, q, P, D, Q in combos:
         try:
             spec = SarimaxSpec((p, d, q), (P, D, Q, SEASONAL_PERIOD), tuple(exog_names))
-            fit = sarimax_fit(series.values, spec, exog=exog, max_evaluations=max_evaluations)
+            fit = sarimax_fit(
+                series.values, spec, exog=exog, max_evaluations=max_evaluations, score_from=score_from
+            )
         except (FitError, ValueError) as exc:
             failures.append(((p, d, q, P, D, Q), str(exc)))
             continue

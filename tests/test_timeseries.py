@@ -883,6 +883,10 @@ def make_series(values, start=2000 * 12, exog=None):
     return TimeSeries(start, np.asarray(values, dtype=float), exog=exog or {})
 
 
+# (1,0,0) under each (d, D) in {0, 1}^2: states of size at most 2
+DIFFERENCING_GRID = {"p": (1,), "d": (0, 1), "q": (0,), "P": (0,), "D": (0, 1), "Q": (0,)}
+
+
 class TestGridSearch:
     def test_prefers_ar_on_ar_data(self):
         series = make_series(ar1_series(phi=0.8, n=150, seed=107))
@@ -901,10 +905,40 @@ class TestGridSearch:
                 aics.append(fit.aic)
         assert best.aic == pytest.approx(min(aics), abs=1e-9)
 
+    def test_selection_does_not_depend_on_units(self):
+        # scored from its own first differenced month, a D = 1 candidate
+        # left out 12 months whose density depends on the units, and
+        # multiplying by 10 moved this choice from D = 0 to D = 1
+        x = np.random.default_rng(5).normal(size=120)
+        y = ar1_series(phi=0.5, n=120, seed=0) + 0.5 * x
+        keys = [
+            sarimax_grid_search(make_series(c * y, exog={"x": c * x}), DIFFERENCING_GRID, ("x",)).spec.key()
+            for c in (1.0, 10.0)
+        ]
+        assert keys[0] == keys[1] == (1, 0, 0, 0, 0, 0)
+
+    def test_seasonal_random_walk_is_differenced_seasonally(self):
+        # y_t = y_{t-12} + e_t over ten years, in metascore units
+        steps = np.random.default_rng(7).normal(0.0, 10.0, size=(10, 12))
+        y = 60.0 + np.cumsum(steps, axis=0).ravel()
+        assert sarimax_grid_search(make_series(y), DIFFERENCING_GRID).spec.seasonal_order[1] == 1
+
+    def test_stationary_series_is_not_differenced(self):
+        # an AR(1) at 0.5 in metascore units: a scratch run of 400 seeds
+        # kept d = D = 0 in 96.5% of them (7.8% when each candidate was
+        # scored from its own first differenced month), and at least 17 of
+        # every 20 consecutive seeds
+        kept = 0
+        for seed in range(20):
+            y = ar1_series(phi=0.5, n=120, seed=seed, mu=60.0, sigma=10.0)
+            best = sarimax_grid_search(make_series(y), DIFFERENCING_GRID)
+            kept += best.spec.order[1] == best.spec.seasonal_order[1] == 0
+        assert kept >= 16
+
     def test_ties_go_to_the_smallest_key(self, monkeypatch):
         # every fit with p = 1 ties at the lowest AIC; the lists are unsorted,
         # so only the search's own order can keep the smallest key
-        def tied_fit(y, spec, exog=None, max_evaluations=None):
+        def tied_fit(y, spec, **_):
             return types.SimpleNamespace(spec=spec, aic=1.0 if spec.order[0] == 1 else 2.0)
 
         monkeypatch.setattr(timeseries, "sarimax_fit", tied_fit)
