@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data_pipeline import NUMERIC_FIELDS
+from .statespace import MAX_EVALUATIONS
 
 ALL_MODELS = ("slr", "mlr", "logistic", "ridge", "lasso", "kmeans", "svm", "ann")
 
@@ -143,7 +144,7 @@ class RunConfig:
     kmeans_restarts: int = 10
     sarimax_grid: dict[str, list[int]] = field(default_factory=lambda: {k: [0, 1] for k in SARIMAX_ORDERS})
     sarimax_exog: list[str] = field(default_factory=lambda: ["duration", "movie_count"])
-    sarimax_max_evaluations: int = 300
+    sarimax_max_evaluations: int = MAX_EVALUATIONS  # a cap that no default-grid fit reaches
     forecast_horizon: int = 24
     mlp_max_epochs: int = 500
     per_movie_rows: int = 10

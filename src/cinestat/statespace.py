@@ -31,14 +31,14 @@ fixed cost: its arithmetic over 1,439 months takes a few microseconds, and
 each numpy call around it about one.  So an evaluation does only the work
 its parameters change.  A lag polynomial is multiplied by a seasonal factor
 only when there is one, and a spec without a mean is not centred.  The
-filter's steady phase reads its lags off T and R as Python lists, the sums
-skip ``np.sum``'s wrapper, and the simplex tests convergence on Python
-floats, all with the bits of the plain numpy form.
+filter's steady phase reads its lags off T and R as Python lists, and the
+sums skip ``np.sum``'s wrapper, both with the bits of the plain numpy form.
 
-The likelihood is maximized by ``nelder_mead``, the Nelder & Mead (1965)
-downhill simplex, written here so the package needs numpy alone.  It takes
-the steps of scipy's ``minimize(method="Nelder-Mead")`` with ``maxfev`` set,
-float operation for float operation, so a fit is the same to the last bit.
+The likelihood is maximized by ``bfgs``, a quasi-Newton method with
+forward-difference gradients and a strong-Wolfe line search, written here so
+the package needs numpy alone.  A fit is ``converged`` when every partial
+derivative of -log L is below GRADIENT_TOLERANCE; the evaluation cap only
+bounds a fit that never gets there.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 DIFFUSE_VARIANCE = 1e7
 GAIN_TOLERANCE = 1e-8
 MAX_EVALUATIONS = 2000
-SIMPLEX_XATOL = 1e-6  # stop when every vertex is this close to the best one
-SIMPLEX_FATOL = 1e-8  # ... and every value this close to the best value
+GRADIENT_TOLERANCE = 1e-4  # converged: every partial derivative of -log L below this
+SQRT_EPS = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 SEASONAL_PERIOD = 12  # months
 
 
@@ -403,101 +403,72 @@ def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
     return mean, beta, ar, ma, sar, sma, T, R
 
 
-class _BudgetSpent(Exception):
-    pass
+def bfgs(f, x0: np.ndarray, max_evaluations: int):
+    """Minimize f from x0 by BFGS; returns (x, converged).
 
+    The quasi-Newton iteration of Nocedal & Wright (2006), Alg. 6.1, from
+    the inverse Hessian I.  The gradient is the forward difference with step
+    sqrt(eps) max(1, |x_i|) (section 8.1), so it costs k evaluations beyond
+    f(x).  The line search meets the strong Wolfe conditions with c1 = 1e-4
+    and c2 = 0.9: it doubles the step until a bracket holds one (Alg. 3.5),
+    then bisects the bracket (Alg. 3.6), and takes the gradient only at
+    points with sufficient decrease.  Its first trial step is
+    min(1, 2.02 (f_k - f_{k-1}) / g'p), with f_{-1} = f_0 + |g| / 2.
 
-def nelder_mead(f, x0: np.ndarray, max_evaluations: int):
-    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, converged).
-
-    The steps are scipy's ``minimize(method="Nelder-Mead", options={"maxfev":
-    max_evaluations, "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL})``, with
-    the same float operations in the same order: the initial simplex moves
-    each coordinate by 5% (to 0.00025 from zero); reflection, expansion,
-    contraction and shrink use the coefficients 1, 2, 0.5 and 0.5.  The
-    budget is checked before every evaluation; when it runs out mid-iteration
-    the iteration is abandoned where it stands (a shrink keeps the vertices
-    it already moved) and the simplex is re-sorted.  There is no iteration
-    cap.  ``converged`` is False exactly when the budget ran out.
+    ``converged`` is True when max|g| < GRADIENT_TOLERANCE.  The search
+    stops short of that when a line search finds no step in 40 trials, or
+    when ``max_evaluations`` are spent, which is tested before each trial.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
     evaluations = 0
 
-    def evaluate(x):
+    def value(x):
         nonlocal evaluations
-        if evaluations >= max_evaluations:
-            raise _BudgetSpent
         evaluations += 1
-        return f(np.copy(x))
+        return f(x)
 
-    def by_value(sim, fsim):
-        order = fsim.argsort()
-        return sim.take(order, 0), fsim.take(order)
+    def gradient(x, fx):
+        g = np.empty(x.size)
+        for i, xi in enumerate(x.tolist()):
+            xh = x.copy()
+            xh[i] = xi + SQRT_EPS * max(1.0, abs(xi))
+            g[i] = (value(xh) - fx) / (xh[i] - xi)
+        return g
 
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-    except _BudgetSpent:
-        pass
-    # sorted twice, as scipy does: argsort is not stable, so on tied values a
-    # second sort need not keep the order the first one left
-    sim, fsim = by_value(*by_value(sim, fsim))
-
-    while evaluations < max_evaluations:
-        # scipy's two tests, the values' first, on Python floats: it is the
-        # cheaper one and fails on most iterations (a NaN fails either form)
-        fs = fsim.tolist()
-        if (
-            all(abs(fj - fs[0]) <= SIMPLEX_FATOL for fj in fs[1:])
-            and np.abs(sim[1:] - sim[0]).max() <= SIMPLEX_XATOL
-        ):
-            break
-        try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = evaluate(xr)
-            shrink = False
-            if fxr < fs[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = evaluate(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fs[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fs[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = evaluate(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+    x = np.asarray(x0, dtype=float)
+    fx = value(x)
+    g = gradient(x, fx)
+    H = np.eye(x.size)
+    f_prev = fx + math.sqrt(g @ g) / 2
+    while g.size and np.abs(g).max() >= GRADIENT_TOLERANCE:
+        p = -H @ g
+        slope = g @ p
+        alpha = min(1.0, 2.02 * (fx - f_prev) / slope) if fx < f_prev else 1.0
+        lo, f_lo, hi = 0.0, fx, math.inf
+        for _ in range(40):
+            if evaluations >= max_evaluations:
+                return x, False
+            x_new = x + alpha * p
+            f_new = value(x_new)
+            if f_new > fx + 1e-4 * alpha * slope or f_new >= f_lo:
+                hi = alpha
             else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = evaluate(xcc)
-                if fxcc < fs[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = evaluate(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    return sim[0], evaluations < max_evaluations
+                g_new = gradient(x_new, f_new)
+                d = g_new @ p
+                if abs(d) <= -0.9 * slope:
+                    break
+                if d * (hi - lo) >= 0:
+                    hi = lo
+                lo, f_lo = alpha, f_new
+            alpha = 2.0 * alpha if hi == math.inf else 0.5 * (lo + hi)
+        else:
+            return x, False
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:  # the curvature condition makes it so, up to the gradients' error
+            Hy = H @ y
+            H += ((sy + y @ Hy) / sy * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / sy
+        x, f_prev, fx, g = x_new, fx, f_new, g_new
+    return x, True
 
 
 def _regressors(x, rows: int, k: int, name: str) -> np.ndarray:
@@ -552,12 +523,7 @@ def sarimax_fit(
         ll, *_rest = concentrated_loglik(centred(mean, beta), T, R, skip)
         return -ll if math.isfinite(ll) else 1e12
 
-    if x0.size:
-        zvec, converged = nelder_mead(negloglik, x0, max_evaluations)
-    else:
-        zvec = x0
-        converged = True
-
+    zvec, converged = bfgs(negloglik, x0, max_evaluations)
     mean, beta, ar, ma, sar, sma, T, R = model_from_parameters(zvec, spec)
     ll, sigma2, v, F, a_next, P_next = concentrated_loglik(centred(mean, beta), T, R, skip)
     if not np.isfinite(ll):

@@ -82,8 +82,8 @@ def test_ingest_summary_stdout(monkeypatch):
 # configs/fixture.json` writes it in JSON and in markdown.  A change that
 # moves a report number on purpose records new hashes here, in a commit of
 # its own that names every field it moves.
-ORACLE_JSON_SHA256 = "acef8046289d4ae8eb2bbf0ad494ad5b34f8430671fb40a92192ed5fa8efe33e"
-ORACLE_MARKDOWN_SHA256 = "abd3e39c0e194b38ad4f95d87510f8bd68dc5c230ed8948e139be1554aa7f47c"
+ORACLE_JSON_SHA256 = "ce65ca117b9fe5d0d17635c7461263dcfd5ca60b91338340db9b3d7aca2683b7"
+ORACLE_MARKDOWN_SHA256 = "4e5916243b2566a0bfd1127162861e6f08a0c844f3371668375caf778453b15d"
 
 
 def full_grid_digests(report) -> tuple[str, str]:

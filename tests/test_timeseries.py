@@ -11,18 +11,18 @@ from scipy import optimize, signal, stats
 
 from cinestat.statespace import (
     GAIN_TOLERANCE,
-    SIMPLEX_FATOL,
-    SIMPLEX_XATOL,
+    MAX_EVALUATIONS,
     FitError,
     SarimaxFit,
     SarimaxSpec,
+    bfgs,
     build_state_space,
     concentrated_loglik,
     difference,
     expand_polynomials,
     initial_covariance,
     kalman_filter,
-    nelder_mead,
+    model_from_parameters,
     sarimax_fit,
     sarimax_forecast,
     stationary_covariance,
@@ -383,122 +383,47 @@ def counted(f):
     return wrapped, calls
 
 
-def assert_nelder_mead_matches_scipy(f, x0, budget, note=""):
-    """Run nelder_mead and scipy's Nelder-Mead on f from x0 with the same
-    budget and tolerances; both must end at the same bits after the same
-    number of evaluations.  Returns (evaluations, converged)."""
-    ours, our_calls = counted(f)
-    theirs, their_calls = counted(f)
-    x, converged = nelder_mead(ours, np.array(x0, dtype=float), budget)
-    ref = optimize.minimize(
-        theirs,
-        np.array(x0, dtype=float),
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL},
-    )
-    np.testing.assert_array_equal(x, ref.x, err_msg=note)
-    assert converged == ref.success, note
-    assert our_calls[0] == their_calls[0] == ref.nfev, note
-    return our_calls[0], converged
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
-def quadratic(A, c):
-    return lambda x: float((x - c) @ A @ (x - c))
+class TestBfgs:
+    def test_quadratic(self):
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(5, 5))
+        A = M @ M.T + 0.5 * np.eye(5)
+        c = rng.normal(size=5)
+        x, converged = bfgs(lambda x: float((x - c) @ A @ (x - c)), np.zeros(5), MAX_EVALUATIONS)
+        assert converged
+        np.testing.assert_allclose(x, c, atol=1e-4 / 0.5)
 
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0, -0.5, 0.3]])
+    def test_rosenbrock(self, x0):
+        f, calls = counted(rosenbrock)
+        x, converged = bfgs(f, np.array(x0), MAX_EVALUATIONS)
+        assert converged and calls[0] < 500
+        np.testing.assert_allclose(x, 1.0, atol=1e-4)
 
-def rough(w, c):
-    # a rippled bowl: reflections and contractions often land on a ridge,
-    # so the simplex shrinks often
-    return lambda x: float((x - c) @ (x - c) + 0.1 * np.sin(1e3 * (x @ w)))
+    def test_evaluation_cap(self):
+        # the cap is tested before each trial point, so the gradient there,
+        # k = 2 evaluations, may run past it
+        for cap in (1, 2, 10, 50):
+            f, calls = counted(rosenbrock)
+            x, converged = bfgs(f, np.array([-1.2, 1.0]), cap)
+            assert not converged and calls[0] <= cap + 2
 
+    def test_kink_stops_on_a_failed_line_search(self):
+        # |x| has no point where the gradient test holds; the line search
+        # runs out of trials next to the kink, long before the cap
+        f, calls = counted(lambda x: abs(x[0] - 0.3))
+        x, converged = bfgs(f, np.zeros(1), MAX_EVALUATIONS)
+        assert not converged and calls[0] < 500
+        assert x[0] == pytest.approx(0.3, abs=1e-6)
 
-def plateau(A, c):
-    # a bowl cut into terraces: many vertices tie
-    return lambda x: math.floor(4.0 * float((x - c) @ A @ (x - c))) / 4.0
-
-
-def penalised(A, c):
-    # the likelihood's failure value outside a box, as in sarimax_fit
-    return lambda x: 1e12 if np.abs(x).max() > 0.5 else float((x - c) @ A @ (x - c))
-
-
-def random_problem(seed):
-    """(objective, start, budget) in 1 + seed % 6 dimensions."""
-    rng = np.random.default_rng(seed)
-    n = 1 + seed % 6
-    M = rng.normal(size=(n, n))
-    A = M @ M.T + 0.1 * np.eye(n)
-    c = rng.normal(size=n)
-    kind = (seed // 6) % 4
-    f = [quadratic(A, c), rough(rng.normal(size=n), c), plateau(A, c), penalised(A, 0.6 * c)][kind]
-    starts = [np.zeros(n), rng.normal(size=n), rng.normal(size=n) * rng.integers(0, 2, size=n)]
-    x0 = starts[(seed // 24) % 3]
-    if kind == 3:
-        x0 = 0.6 * x0
-    budget = [int(rng.integers(1, 3 * n + 3)), int(rng.integers(3 * n + 3, 400)), 4000][seed % 5 % 3]
-    return f, x0, budget
-
-
-class TestNelderMead:
-    """nelder_mead against scipy's Nelder-Mead, a test-only oracle: the same
-    points, the same evaluation count and the same convergence flag."""
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_scipy_on_random_problems(self, n):
-        outcomes = set()
-        for seed in range(n - 1, 600, 6):
-            f, x0, budget = random_problem(seed)
-            evaluations, converged = assert_nelder_mead_matches_scipy(f, x0, budget, f"seed {seed}")
-            outcomes.add((evaluations <= n, converged))
-        # the budget ran out in the initial simplex, ran out later, and was
-        # not needed in full
-        assert outcomes == {(True, False), (False, False), (False, True)}
-
-    def test_initial_simplex(self):
-        points = []
-        nelder_mead(lambda x: points.append(x) or 0.0, np.array([0.0, 2.0, -3.0]), 4)
-        # a non-zero coordinate is multiplied by 1.05 (1.05 * -3.0 is one ulp
-        # off the decimal -3.15); a zero one moves to 0.00025
-        np.testing.assert_array_equal(
-            points, [[0.0, 2.0, -3.0], [0.00025, 2.0, -3.0], [0.0, 1.05 * 2.0, -3.0], [0.0, 2.0, 1.05 * -3.0]]
-        )
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_budget_spent_in_the_initial_simplex(self, n):
-        rng = np.random.default_rng(n)
-        f = quadratic(np.eye(n), rng.normal(size=n))
-        for budget in range(1, n + 1):
-            assert assert_nelder_mead_matches_scipy(f, rng.normal(size=n), budget) == (budget, False)
-
-    def test_budget_spent_in_an_expansion(self):
-        # from 0 towards 10 every iteration reflects and then expands; with
-        # 3 evaluations the expansion is refused and the iteration dropped,
-        # reflected point included
-        f = quadratic(np.eye(1), np.array([10.0]))
-        x, converged = nelder_mead(f, np.zeros(1), 3)
-        np.testing.assert_array_equal(x, [0.00025])
-        assert not converged
-        for budget in range(3, 21, 2):
-            assert_nelder_mead_matches_scipy(f, np.zeros(1), budget)
-
-    def test_budget_spent_in_a_shrink(self):
-        # on a flat objective every iteration reflects, contracts inside and
-        # shrinks: 4 + 2 evaluations, then shrink evaluations 7, 8 and 9
-        flat = lambda x: 1.0  # noqa: E731
-        for budget in range(4, 25):
-            assert assert_nelder_mead_matches_scipy(flat, np.array([0.3, 0.0, -1.2]), budget) == (
-                budget,
-                False,
-            )
-
-    def test_flat_objective_converges(self):
-        evaluations, converged = assert_nelder_mead_matches_scipy(lambda x: 1.0, np.zeros(2), 4000)
-        assert converged and evaluations < 4000
-
-    def test_penalty_everywhere_but_the_start(self):
-        f = penalised(np.eye(2), np.zeros(2))
-        for budget in (3, 10, 100, 4000):
-            assert_nelder_mead_matches_scipy(f, np.array([0.5, -0.5]), budget)
+    def test_no_parameters(self):
+        f, calls = counted(lambda x: 1.0)
+        x, converged = bfgs(f, np.zeros(0), MAX_EVALUATIONS)
+        assert converged and x.size == 0 and calls[0] == 1
 
 
 class TestForecast:
@@ -629,6 +554,37 @@ class TestPublicFitPath:
         lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         dense = stats.multivariate_normal(np.zeros(n), fit.sigma2 * gamma[lags]).logpdf(w)
         assert fit.log_likelihood == pytest.approx(dense, abs=1e-8)
+
+    @pytest.mark.parametrize("y, spec", [
+        (5.0 + sarima_series(300, ar=[0.6], ma=[0.3], seed=11), SarimaxSpec((1, 0, 1))),
+        (
+            50.0 + sarima_series(240, ar=[0.4], sma=[-0.5], D=1, seed=13),
+            SarimaxSpec((1, 0, 0), (0, 1, 1, 12)),
+        ),
+        (
+            sarima_series(240, ar=[0.5], sar=[0.5], sma=[0.3], seed=17),
+            SarimaxSpec((1, 0, 1), (1, 0, 1, 12)),
+        ),
+    ])
+    def test_loglik_matches_scipy_bfgs(self, y, spec):
+        # a test-only oracle: scipy's BFGS on the same likelihood from the
+        # same start, the zero vector with the mean at the sample mean
+        fit = sarimax_fit(y, spec)
+        _, d, _ = spec.order
+        _, D, _, s = spec.seasonal_order
+        w = difference(y, d, D, s)
+
+        def negloglik(zvec):
+            mean, _, *_, T, R = model_from_parameters(zvec, spec)
+            ll = concentrated_loglik(w - mean, T, R)[0]
+            return -ll if math.isfinite(ll) else 1e12
+
+        x0 = np.zeros(spec.n_params - 1)
+        if spec.includes_mean:
+            x0[0] = w.mean()
+        ref = optimize.minimize(negloglik, x0, method="BFGS")
+        assert fit.converged
+        assert fit.log_likelihood == pytest.approx(-ref.fun, abs=1e-6)
 
     def test_differenced_exog_forecast(self):
         # y = 2 x + random walk, fit as (0,1,0) on x: forecasts must move with
@@ -934,6 +890,31 @@ class TestGridSearch:
             best = sarimax_grid_search(make_series(y), DIFFERENCING_GRID)
             kept += best.spec.order[1] == best.spec.seasonal_order[1] == 0
         assert kept >= 16
+
+    def test_no_nested_inversion(self, monkeypatch):
+        # a spec that contains another, with the same d and D and every order
+        # at least as large, can reach every likelihood the smaller one can
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(sarimax_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(timeseries, "sarimax_fit", recorded)
+        y = sarima_series(96, ar=[0.5], ma=[0.4], sar=[0.6], seed=0)
+        grid = {"p": (0, 1), "d": (0,), "q": (0, 1), "P": (0, 1), "D": (0,), "Q": (0, 1)}
+        # at a cap of 300 evaluations a Nelder-Mead simplex from zeros left
+        # 6 nested pairs inverted on this series
+        sarimax_grid_search(make_series(y), grid, max_evaluations=300)
+        inverted = [
+            (big.spec.key(), small.spec.key())
+            for big in fits
+            for small in fits
+            if big is not small
+            and all(b >= a for b, a in zip(big.spec.key(), small.spec.key()))
+            and big.log_likelihood < small.log_likelihood - 1e-8
+        ]
+        assert len(fits) == 16 and not inverted
 
     def test_ties_go_to_the_smallest_key(self, monkeypatch):
         # every fit with p = 1 ties at the lowest AIC; the lists are unsorted,
