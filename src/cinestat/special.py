@@ -24,6 +24,8 @@ def gammainc_upper(a: float, x: float) -> float:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 1.0
+    if math.isinf(x):
+        return 0.0
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cf(a, x)

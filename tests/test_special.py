@@ -63,6 +63,10 @@ def test_edge_cases():
     assert chi2_sf(0.0, 3) == 1.0
     assert f_sf(0.0, 2, 10) == 1.0
     assert f_sf(float("inf"), 2, 10) == 0.0
+    # a Wald statistic is infinite when a standard error is 0
+    for df in (1, 2, 7.5):
+        assert chi2_sf(float("inf"), df) == 0.0
+        assert gammainc_upper(df, float("inf")) == 0.0
     assert betainc(2.0, 3.0, 0.0) == 0.0
     assert betainc(2.0, 3.0, 1.0) == 1.0
     with pytest.raises(ValueError):
