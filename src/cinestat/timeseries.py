@@ -187,7 +187,8 @@ def sarimax_grid_search(
 
     Every candidate is scored on the same months, those from K = max d +
     SEASONAL_PERIOD * max D on, so that no candidate's AIC leaves out months
-    that another one counts; a grid with one (d, D) scores them all."""
+    that another one counts.  With one (d, D) in the grid, K is the first
+    differenced month, so every candidate scores all of its months."""
     exog = series.exog_matrix(exog_names)
     score_from = max(grid["d"]) + SEASONAL_PERIOD * max(grid["D"])
     best: SarimaxFit | None = None

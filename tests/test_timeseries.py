@@ -862,9 +862,9 @@ class TestGridSearch:
         assert best.aic == pytest.approx(min(aics), abs=1e-9)
 
     def test_selection_does_not_depend_on_units(self):
-        # scored from its own first differenced month, a D = 1 candidate
-        # left out 12 months whose density depends on the units, and
-        # multiplying by 10 moved this choice from D = 0 to D = 1
+        # a D = 1 candidate scored from its own first differenced month
+        # leaves out 12 months whose density depends on the units; on this
+        # series that alone takes the choice from D = 0 to D = 1 at 10x
         x = np.random.default_rng(5).normal(size=120)
         y = ar1_series(phi=0.5, n=120, seed=0) + 0.5 * x
         keys = [
@@ -880,7 +880,7 @@ class TestGridSearch:
         assert sarimax_grid_search(make_series(y), DIFFERENCING_GRID).spec.seasonal_order[1] == 1
 
     def test_stationary_series_is_not_differenced(self):
-        # an AR(1) at 0.5 in metascore units: a scratch run of 400 seeds
+        # an AR(1) at 0.5 in metascore units: a simulation of 400 seeds
         # kept d = D = 0 in 96.5% of them (7.8% when each candidate was
         # scored from its own first differenced month), and at least 17 of
         # every 20 consecutive seeds
@@ -903,8 +903,8 @@ class TestGridSearch:
         monkeypatch.setattr(timeseries, "sarimax_fit", recorded)
         y = sarima_series(96, ar=[0.5], ma=[0.4], sar=[0.6], seed=0)
         grid = {"p": (0, 1), "d": (0,), "q": (0, 1), "P": (0, 1), "D": (0,), "Q": (0, 1)}
-        # at a cap of 300 evaluations a Nelder-Mead simplex from zeros left
-        # 6 nested pairs inverted on this series
+        # on this series a Nelder-Mead simplex from zeros, at this cap,
+        # leaves 6 nested pairs inverted
         sarimax_grid_search(make_series(y), grid, max_evaluations=300)
         inverted = [
             (big.spec.key(), small.spec.key())
