@@ -56,8 +56,8 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 TRACED_METRICS = (
     "statespace.kalman_filter.calls", "statespace.sarimax_fit.calls",
     "statespace.stationary_covariance.diffuse_fallbacks", "statespace.kalman_filter.s",
-    "statespace.sarimax_fit.s", "statespace.loglik_evals_per_fit", "timeseries.sarimax_grid_search.s",
-    "timeseries.grid.nonconverged", "timeseries.grid.failed",
+    "statespace.kalman_filter.us_per_step.r12_20", "statespace.sarimax_fit.s", "statespace.loglik_evals_per_fit",
+    "timeseries.sarimax_grid_search.s", "timeseries.grid.nonconverged", "timeseries.grid.failed",
 )
 
 

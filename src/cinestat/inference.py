@@ -143,13 +143,19 @@ def f_statistic(r2: float, n: int, p: int) -> StatTestResult:
 
 
 def wald_test(fit) -> list[StatTestResult]:
-    """Per-coefficient (beta/se)^2 chi-square(1) tests, constant first."""
+    """Per-coefficient (beta/se)^2 chi-square(1) tests, constant first.
+
+    A standard error that is 0 or not finite has no test: 0 would read as a
+    certain rejection, or as NaN when beta is 0 too, so it raises, naming
+    the coefficient."""
     if not fit.converged:
         raise ValueError("Wald test requires a converged fit")
     names = ["const"] + list(fit.feature_names)
     betas = np.concatenate([[fit.intercept], fit.coefficients])
     results = []
     for name, beta, se in zip(names, betas, fit.standard_errors):
+        if not (math.isfinite(se) and se > 0.0):
+            raise ValueError(f"coefficient {name!r} has standard error {se}, so it has no Wald test")
         w = (beta / se) ** 2
         results.append(StatTestResult(f"wald[{name}]", float(w), p_value=chi2_sf(w, 1), df=1))
     return results

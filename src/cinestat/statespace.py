@@ -20,9 +20,16 @@ observation costs a few scalar operations instead of an r x r update.
 Before that step, a Riccati step is a handful of numpy calls on r x r
 arrays, and the call overhead, not the arithmetic, sets its cost; the calls
 are the cheapest ones that give the bits of the plain matrix form, which
-``tests/test_statespace_bits.py`` keeps as the reference.  A state of size
-1, the specs with no MA part and at most one AR lag, is filtered in closed
-form instead (Durbin & Koopman 2012, section 3.4): its stationary start is
+``tests/test_statespace_bits.py`` keeps as the reference.  The Riccati
+recursion (covariance, gain and innovation variance) reads no data, only T
+and R (Durbin & Koopman 2012, section 4.3), so ``_riccati`` runs it apart
+from the state update and keeps its last result, keyed on the series length
+and the bits of T and R: the evaluations of a gradient that move only the
+mean or a regressor coefficient reuse it, and the filter then only runs the
+state over the stored gains.  Missing months, filtered by skipping the
+update, would make their mask part of that key.  A state of size 1, the
+specs with no MA part and at most one AR lag, is filtered in closed form
+instead (Durbin & Koopman 2012, section 3.4): its stationary start is
 R[0]^2 / (1 - T^2), its gain P / P is 1, so the first observation reveals
 the state, and the steady phase starts at the second.
 
@@ -218,6 +225,75 @@ def initial_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray:
     return P0
 
 
+_riccati_memo: tuple | None = None  # ((n, T bytes, R bytes), _riccati's result)
+
+
+def _riccati(T: np.ndarray, R: np.ndarray, n: int):
+    """The data-free half of the filter over n steps from
+    ``initial_covariance(T, R)``: the gains K_t and the variances F_t up to
+    the step at which the gain freezes (all n when it does not), and the
+    predicted covariance P after that step.
+
+    The result depends on n and the bits of T and R alone, so the last one
+    is kept and returned again for the same key.  A forward-difference
+    gradient moves the mean and each regressor coefficient in turn, which
+    leaves T and R as they were.  Its arrays never leave ``kalman_filter``:
+    the gains stay inside it, and F and P are copied out.
+    """
+    global _riccati_memo
+    key = (n, T.tobytes(), R.tobytes())
+    memo = _riccati_memo  # read once: the key and the result stay one pair
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # A Riccati step is a dozen numpy calls on small arrays, and their call
+    # overhead, not the arithmetic, is its cost, so each call is the
+    # cheapest one with the same bits.  F_t is a Python float, read with
+    # ``item``.  The gain divides by P[0, 0] as a 0-d array.
+    # ``ndarray.dot`` with a contiguous copy of T' reaches the BLAS product
+    # of ``T @ M @ T.T`` with less overhead, and the bits stay those of the
+    # ``@`` form: T is a companion matrix, so each entry of T M and of M T'
+    # is at most two non-zero products, one of them by 1.  K P[0]' is a
+    # one-term matrix product, which rounds each entry once, as the
+    # broadcast multiply does.
+    #
+    # The Riccati phase can run long, so its freeze test checks the gain,
+    # the cheaper test that fails on most steps, before the covariance, and
+    # the gain's last entry as a Python float before the whole vector.
+    # After the gain settles, the covariance test still fails for some
+    # steps, and ``cap`` settles most of those without max|P_next|: it
+    # bounds max|P| from above (inf when unknown), max|P_next| <= cap +
+    # change, and 1 + 1e-15 covers the three roundings of that bound.  A
+    # change at or above the tolerance the bound gives is at or above the
+    # exact one too.  Each shortcut is implied by the full rule, so the
+    # freeze step is the one that rule gives.
+    P = initial_covariance(T, R)
+    gains, F_head = [], []
+    RR = np.outer(R, R)
+    Tt = np.ascontiguousarray(T.T)
+    R_last = R.item(-1)
+    cap = math.inf
+    for _ in range(n):
+        F_head.append(P.item(0))
+        K = P[:, 0] / P[0, 0, ...]
+        gains.append(K)
+        P_next = T.dot(P - K[:, None].dot(P[:1])).dot(Tt)
+        P_next += RR
+        frozen = False
+        if abs(K.item(-1) - R_last) < GAIN_TOLERANCE and np.abs(K - R).max() < GAIN_TOLERANCE:
+            change = np.abs(P_next - P).max()
+            cap = (cap + change) * (1.0 + 1e-15)
+            if not change >= 1e-12 * (1.0 + cap):
+                cap = np.abs(P_next).max()
+                frozen = change < 1e-12 * (1.0 + cap)
+        else:
+            cap = math.inf
+        P = P_next
+        if frozen:
+            break
+    _riccati_memo = key, (gains, F_head, P)
+    return gains, F_head, P
+
+
 def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     """Filter a zero-mean series in unit-innovation-variance units, starting
     from ``initial_covariance(T, R)``.
@@ -245,70 +321,34 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     v_t = z_t - T z_{t-1} and F_t = R[0]^2.
     """
     r = T.shape[0]
-    P = initial_covariance(T, R)
     n = z.shape[0]
-    # A Riccati step is a dozen numpy calls on small arrays, and their call
-    # overhead, not the arithmetic, is its cost, so each call is the
-    # cheapest one with the same bits.  The scalars v_t and F_t are Python
-    # floats, read with ``item`` and kept in lists until the freeze.  The
-    # gain divides by P[0, 0] as a 0-d array.  ``ndarray.dot`` with a
-    # contiguous copy of T' reaches the BLAS product of ``T @ M @ T.T``
-    # with less overhead, and the bits stay those of the ``@`` form: T is a
-    # companion matrix, so each entry of T M and of M T' is at most two
-    # non-zero products, one of them by 1.  K P[0]' is a one-term matrix
-    # product, which rounds each entry once, as the broadcast multiply does.
-    # The state update stays a separate product from the covariance's: a
-    # joint T [P | a] rounds a differently at small r, since the matrix and
-    # the vector kernels order their sums differently (TestKalmanExactness
-    # and TestKalmanFilterBits pin all of this).
-    #
-    # The Riccati phase can run long, so its freeze test checks the gain,
-    # the cheaper test that fails on most steps, before the covariance, and
-    # the gain's last entry as a Python float before the whole vector.
-    # After the gain settles, the covariance test still fails for some
-    # steps, and ``cap`` settles most of those without max|P_next|: it
-    # bounds max|P| from above (inf when unknown), max|P_next| <= cap +
-    # change, and 1 + 1e-15 covers the three roundings of that bound.  A
-    # change at or above the tolerance the bound gives is at or above the
-    # exact one too.  Each shortcut is implied by the full rule, so the
-    # freeze step is the one that rule gives.
-    v_head, F_head = [], []
-    s = n
+    # Before the freeze, the covariance, the gain and F never read z, so
+    # ``_riccati`` runs them, memoized on (n, T, R), and this pass runs the
+    # state over its gains, with the same operations in the same order as
+    # one loop of both.  A series with missing months would skip the gain
+    # at those steps, so their mask would join that key.  The state update
+    # stays a separate product from the covariance's: a joint T [P | a]
+    # rounds a differently at small r, since the matrix and the vector
+    # kernels order their sums differently (TestKalmanExactness and
+    # TestKalmanFilterBits pin all of this).  The innovations are Python
+    # floats, read with ``item`` and kept in a list until the freeze.
+    v_head = []
     if r == 1 and n:
         # closed form: the first observation reveals the state
         z0 = z.item(0)
         v_head.append(z0)
-        F_head.append(P.item(0))
+        F_head = [initial_covariance(T, R).item(0)]
         a = np.array([T.item(0) * z0])
         P = np.array([[R.item(0) * R.item(0)]])
-        s = 1
     else:
+        gains, F_head, P = _riccati(T, R, n)
+        P = P.copy()  # the memo's own P stays unwritten
         a = np.zeros(r)
-        RR = np.outer(R, R)
-        Tt = np.ascontiguousarray(T.T)
-        R_last = R.item(-1)
-        cap = math.inf
-        for t in range(n):
+        for t, K in enumerate(gains):
             vt = z.item(t) - a.item(0)
             v_head.append(vt)
-            F_head.append(P.item(0))
-            K = P[:, 0] / P[0, 0, ...]
             a = T.dot(a + K * vt)
-            P_next = T.dot(P - K[:, None].dot(P[:1])).dot(Tt)
-            P_next += RR
-            frozen = False
-            if abs(K.item(-1) - R_last) < GAIN_TOLERANCE and np.abs(K - R).max() < GAIN_TOLERANCE:
-                change = np.abs(P_next - P).max()
-                cap = (cap + change) * (1.0 + 1e-15)
-                if not change >= 1e-12 * (1.0 + cap):
-                    cap = np.abs(P_next).max()
-                    frozen = change < 1e-12 * (1.0 + cap)
-            else:
-                cap = math.inf
-            P = P_next
-            if frozen:
-                s = t + 1
-                break
+    s = len(v_head)
     v = np.empty(n)
     F = np.empty(n)
     v[:s] = v_head

@@ -125,10 +125,12 @@ def test_traced_verdict_repeats_the_fit_metrics():
     result = traced_result()
     result["metrics"]["statespace.sarimax_fit.s"] = {"value": 0.04}
     result["metrics"]["statespace.loglik_evals_per_fit"] = {"value": 204.5}
+    result["metrics"]["statespace.kalman_filter.us_per_step.r12_20"] = {"value": 2.1}
     result["metrics"]["timeseries.grid.nonconverged"] = {"value": 1}
     result["metrics"]["timeseries.grid.failed"] = {"value": 0}
     verdict = bench_pairs.traced_verdict(result)
     assert verdict["statespace.sarimax_fit.s"] == 0.04
+    assert verdict["statespace.kalman_filter.us_per_step.r12_20"] == 2.1
     assert verdict["statespace.loglik_evals_per_fit"] == 204.5
     assert verdict["timeseries.grid.nonconverged"] == 1
     assert verdict["timeseries.grid.failed"] == 0

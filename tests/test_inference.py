@@ -248,6 +248,32 @@ class TestWald:
         with pytest.raises(ValueError):
             wald_test(fit)
 
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("se", [0.0, math.inf, math.nan])
+    def test_standard_error_without_a_test_names_the_coefficient(self, se, beta):
+        # se = 0 gave p = 0.0 at beta != 0, a certain test from a degenerate
+        # information matrix, and a NaN statistic at beta = 0
+        from cinestat.linear_models import LogisticFit
+
+        fit = LogisticFit(0.5, ["a", "b"], np.array([1.0, beta]), np.array([0.2, 0.3, se]), True, 5)
+        with pytest.raises(ValueError, match="'b' has standard error"):
+            wald_test(fit)
+
+    def test_zero_standard_error_fails_the_logistic_stage(self, fixture_csv, monkeypatch):
+        from cinestat import linear_models
+        from cinestat.pipeline import StageError
+
+        def degenerate(X):
+            fit = fit_logistic(X)
+            fit.standard_errors[1] = 0.0
+            return fit
+
+        monkeypatch.setattr(linear_models, "fit_logistic", degenerate)
+        grid = {k: [0] for k in "pdqPDQ"}
+        with pytest.raises(StageError) as exc:
+            run_pipeline(RunConfig(dataset=fixture_csv, models=["logistic"], sarimax_grid=grid))
+        assert exc.value.stage == "logistic" and "standard error" in str(exc.value.cause)
+
 
 class TestSilhouette:
     def test_two_tight_far_clusters_near_one(self):

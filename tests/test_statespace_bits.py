@@ -9,8 +9,9 @@ taken by ``np.sum``.  The cheaper calls of the package's version must give
 the same bits on every output, over every (T, R) of the default SARIMAX grid
 and over state sizes 2 to 14.  A state of size 1 is filtered in closed form
 and checked against that form in exact rational arithmetic on the float
-inputs instead.  ``sarimax_fit`` is pinned end to end by the hashes of three
-fits.
+inputs instead.  Calls that reuse the filter's kept Riccati pass are checked
+against the same reference.  ``sarimax_fit`` is pinned end to end by the
+hashes of three fits.
 """
 
 import hashlib
@@ -362,6 +363,68 @@ class TestKalmanFilterBits:
             assert T.shape == (1, 1)
             z = w - mean - wx @ beta
             check_state_size_1(z, T, R)
+
+
+class TestRiccatiMemo:
+    """The filter keeps its last Riccati pass, keyed on the series length and
+    the bits of T and R; every call must still give the reference's bits."""
+
+    @staticmethod
+    def check(z, T, R):
+        *want, _ = reference_kalman_filter(z, T, R)
+        got = kalman_filter(z, T, R)
+        assert_same_bits(got, want)
+        return got
+
+    def test_interleaved_models_and_series(self):
+        A, B = arma_of_size(13, seed=71), arma_of_size(13, seed=72)
+        rng = np.random.default_rng(73)
+        z1, z2 = rng.normal(size=300), rng.normal(size=300)
+        for z, model in [(z1, A), (z2, A), (z1, B), (z1, A), (z1, A), (z1[:200], A), (z1, A)]:
+            self.check(z, *model)
+
+    def test_model_changed_in_place(self):
+        T, R = arma_of_size(13, seed=74)
+        z = np.random.default_rng(75).normal(size=300)
+        self.check(z, T, R)
+        T[0, 0] *= 0.5  # same array objects, new model
+        self.check(z, T, R)
+        R[1] += 0.1
+        self.check(z, T, R)
+
+    def test_writes_into_the_outputs_leave_the_next_call_unchanged(self):
+        T, R = arma_of_size(13, seed=76)
+        rng = np.random.default_rng(77)
+        for n in (300, 5):  # past the freeze, and before it
+            z = rng.normal(size=n)
+            for out in self.check(z, T, R):
+                out[...] = 7.0
+            self.check(z, T, R)
+
+    def test_a_fit_reuses_its_riccati_passes(self, monkeypatch):
+        # the forward-difference gradient moves the mean and each regressor
+        # coefficient with T and R fixed, so those evaluations reuse the
+        # pass before them: one pass per run of calls with the same model
+        from cinestat import statespace
+
+        keys, passes = [], []
+        filter_, covariance = statespace.kalman_filter, statespace.stationary_covariance
+
+        def recorded_filter(z, T, R):
+            keys.append((z.shape[0], T.tobytes(), R.tobytes()))
+            return filter_(z, T, R)
+
+        def counted_covariance(T, R):
+            passes.append(None)
+            return covariance(T, R)
+
+        monkeypatch.setattr(statespace, "kalman_filter", recorded_filter)
+        monkeypatch.setattr(statespace, "stationary_covariance", counted_covariance)
+        monkeypatch.setattr(statespace, "_riccati_memo", None, raising=False)
+        y, X = regression_series(78, integrated=False)
+        sarimax_fit(y, SarimaxSpec((1, 0, 0), (1, 0, 0, SEASONAL_PERIOD), ("x1", "x2")), exog=X)
+        new_models = sum(key != before for key, before in zip(keys, [None] + keys))
+        assert len(passes) == new_models < len(keys)
 
 
 def grid_parameter_draws():
