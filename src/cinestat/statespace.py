@@ -11,6 +11,14 @@ ARMA state of the differenced series, stacked on the last d + sD values of
 the undifferenced series net of its regressors, which the integration
 carries forward.
 
+The mean and the regressor coefficients are profiled out by generalized
+least squares (Durbin & Koopman 2012, section 6.2): the filter is linear in
+its data, so one pass over the block [w, 1, X] of the differenced series,
+a column of ones when the spec has a mean, and the differenced regressors
+gives each column's innovations through the same gains, and the
+coefficients are the least-squares fit of the series' scaled innovations on
+the regressors'.  The optimizer thus searches the ARMA coefficients alone.
+
 The Kalman filter runs in two phases.  It runs the Riccati recursion until
 the predicted covariance stops changing and the gain equals the innovation
 loading R, which an invertible MA part always reaches; from that step on
@@ -22,30 +30,26 @@ arrays, and the call overhead, not the arithmetic, sets its cost; the calls
 are the cheapest ones that give the bits of the plain matrix form, which
 ``tests/test_statespace_bits.py`` keeps as the reference.  The Riccati
 recursion (covariance, gain and innovation variance) reads no data, only T
-and R (Durbin & Koopman 2012, section 4.3), so ``_riccati`` runs it apart
-from the state update and keeps its last result, keyed on the series length
-and the bits of T and R: the evaluations of a gradient that move only the
-mean or a regressor coefficient reuse it, and the filter then only runs the
-state over the stored gains.  Missing months, filtered by skipping the
-update, would make their mask part of that key.  A state of size 1, the
-specs with no MA part and at most one AR lag, is filtered in closed form
-instead (Durbin & Koopman 2012, section 3.4): its stationary start is
-R[0]^2 / (1 - T^2), its gain P / P is 1, so the first observation reveals
-the state, and the steady phase starts at the second.
+and R (Durbin & Koopman 2012, section 4.3), so ``_riccati`` runs it once
+per call, and the state runs over its gains for every column of the block.
+A state of size 1, the specs with no MA part and at most one AR lag, is
+filtered in closed form instead (Durbin & Koopman 2012, section 3.4): its
+stationary start is R[0]^2 / (1 - T^2), its gain P / P is 1, so the first
+observation reveals the state, and the steady phase starts at the second.
 
 On a long series with a small state, a likelihood evaluation is mostly
 fixed cost: its arithmetic over 1,439 months takes a few microseconds, and
 each numpy call around it about one.  So an evaluation does only the work
 its parameters change.  A lag polynomial is multiplied by a seasonal factor
-only when there is one, and a spec without a mean is not centred.  The
-filter's steady phase reads its lags off T and R as Python lists, and the
-sums skip ``np.sum``'s wrapper, both with the bits of the plain numpy form.
+only when there is one.  The filter's steady phase reads its lags off T and
+R as Python lists, and the sums skip ``np.sum``'s wrapper, both with the
+bits of the plain numpy form.
 
-The likelihood is maximized by ``bfgs``, a quasi-Newton method with
+The profile likelihood is maximized by ``bfgs``, a quasi-Newton method with
 forward-difference gradients and a strong-Wolfe line search, written here so
 the package needs numpy alone.  A fit is ``converged`` when every partial
-derivative of -log L is below GRADIENT_TOLERANCE; the evaluation cap only
-bounds a fit that never gets there.
+derivative of -log L in the ARMA coefficients is below GRADIENT_TOLERANCE;
+the evaluation cap only bounds a fit that never gets there.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .numerics import RankDeficiencyError, least_squares
 
 DIFFUSE_VARIANCE = 1e7
 GAIN_TOLERANCE = 1e-8
@@ -225,26 +231,11 @@ def initial_covariance(T: np.ndarray, R: np.ndarray) -> np.ndarray:
     return P0
 
 
-_riccati_memo: tuple | None = None  # ((n, T bytes, R bytes), _riccati's result)
-
-
 def _riccati(T: np.ndarray, R: np.ndarray, n: int):
     """The data-free half of the filter over n steps from
     ``initial_covariance(T, R)``: the gains K_t and the variances F_t up to
     the step at which the gain freezes (all n when it does not), and the
-    predicted covariance P after that step.
-
-    The result depends on n and the bits of T and R alone, so the last one
-    is kept and returned again for the same key.  A forward-difference
-    gradient moves the mean and each regressor coefficient in turn, which
-    leaves T and R as they were.  Its arrays never leave ``kalman_filter``:
-    the gains stay inside it, and F and P are copied out.
-    """
-    global _riccati_memo
-    key = (n, T.tobytes(), R.tobytes())
-    memo = _riccati_memo  # read once: the key and the result stay one pair
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    predicted covariance P after that step."""
     # A Riccati step is a dozen numpy calls on small arrays, and their call
     # overhead, not the arithmetic, is its cost, so each call is the
     # cheapest one with the same bits.  F_t is a Python float, read with
@@ -290,16 +281,17 @@ def _riccati(T: np.ndarray, R: np.ndarray, n: int):
         P = P_next
         if frozen:
             break
-    _riccati_memo = key, (gains, F_head, P)
     return gains, F_head, P
 
 
 def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     """Filter a zero-mean series in unit-innovation-variance units, starting
-    from ``initial_covariance(T, R)``.
+    from ``initial_covariance(T, R)``.  z is a series of n values or an
+    n x m block of them, filtered column by column through the same gains.
 
     Returns (innovations v, innovation variances F, predicted state a_{n+1|n},
-    predicted covariance P_{n+1|n}).
+    predicted covariance P_{n+1|n}); v has z's shape and a the shape (r,)
+    or (r, m), while F and P are shared by the columns.
 
     The filter runs in two phases.  Until the gain freezes it is the full
     Riccati recursion.  The gain freezes at step s once the predicted
@@ -322,39 +314,45 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     """
     r = T.shape[0]
     n = z.shape[0]
+    zb = z if z.ndim == 2 else z[:, None]  # a series is a block of one column
+    m = zb.shape[1]
+    v = np.empty((n, m))
+    F = np.empty(n)
     # Before the freeze, the covariance, the gain and F never read z, so
-    # ``_riccati`` runs them, memoized on (n, T, R), and this pass runs the
-    # state over its gains, with the same operations in the same order as
-    # one loop of both.  A series with missing months would skip the gain
-    # at those steps, so their mask would join that key.  The state update
-    # stays a separate product from the covariance's: a joint T [P | a]
-    # rounds a differently at small r, since the matrix and the vector
-    # kernels order their sums differently (TestKalmanExactness and
-    # TestKalmanFilterBits pin all of this).  The innovations are Python
-    # floats, read with ``item`` and kept in a list until the freeze.
-    v_head = []
+    # ``_riccati`` runs them first, and this pass runs the state over its
+    # gains, with the same operations in the same order as one loop of
+    # both.  The state update stays a separate product from the
+    # covariance's: a joint T [P | a] rounds a differently at small r, since
+    # the matrix and the vector kernels order their sums differently
+    # (TestKalmanExactness and TestKalmanFilterBits pin all of this).  For
+    # the same reason each column's state is an r x 1 matrix of a stack,
+    # which ``matmul`` multiplies by the vector kernel, one column at a
+    # time: a matrix product T [a_1 ... a_m] rounds differently at r = 2
+    # and 3 (TestBlockFilter pins each column to the series' bits).  The
+    # gain times the innovations is a one-term matrix product, which rounds
+    # each entry once, as the broadcast multiply does, with less overhead;
+    # the other calls write into buffers and their fixed views.
     if r == 1 and n:
         # closed form: the first observation reveals the state
-        z0 = z.item(0)
-        v_head.append(z0)
-        F_head = [initial_covariance(T, R).item(0)]
-        a = np.array([T.item(0) * z0])
+        v[0] = zb[0]
+        F[0] = initial_covariance(T, R).item(0)
+        a = T.item(0) * zb[:1]
         P = np.array([[R.item(0) * R.item(0)]])
+        s = 1
     else:
         gains, F_head, P = _riccati(T, R, n)
-        P = P.copy()  # the memo's own P stays unwritten
-        a = np.zeros(r)
-        for t, K in enumerate(gains):
-            vt = z.item(t) - a.item(0)
-            v_head.append(vt)
-            a = T.dot(a + K * vt)
-    s = len(v_head)
-    v = np.empty(n)
-    F = np.empty(n)
-    v[:s] = v_head
-    F[:s] = F_head
+        s = len(gains)
+        F[:s] = F_head
+        a, Kv = np.zeros((m, r)), np.empty((m, r))  # row j: column j's state
+        a_0, a_stack, Kv_stack = a[:, :1], a[:, :, None], Kv[:, :, None]
+        for K, zt, vt in zip(gains, zb.reshape(n, m, 1), v.reshape(n, m, 1)):
+            np.subtract(zt, a_0, out=vt)
+            np.dot(vt, K[None], out=Kv)
+            Kv += a
+            np.matmul(T, Kv_stack, out=a_stack)
+        a = a.T
     if s == n:
-        return v, F, a, P
+        return v.reshape(z.shape), F, a.reshape(r, *z.shape[1:]), P
 
     # The lags come off T and R as Python lists, and e is updated in place
     # through views, which spares numpy's write-back of each slice.
@@ -363,50 +361,73 @@ def kalman_filter(z: np.ndarray, T: np.ndarray, R: np.ndarray):
     steps = n - s
     h = min(steps, r)
     e = v[s:]  # the steady innovations, built in place
-    e[...] = z[s:]
+    e[...] = zb[s:]
     head = e[:h]
     head -= a[:h]
     for k, c_k in enumerate(c[: steps - 1].tolist(), 1):
         if c_k:
             tail = e[k:]
-            tail -= c_k * z[s : n - k]
+            tail -= c_k * zb[s : n - k]
     ma = [(k, m_k) for k, m_k in enumerate(R[1:].tolist(), 1) if m_k]
     if ma:
         # v[t] with t < s stands at 0: a_s already holds those MA terms
         depth = ma[-1][0]
-        w = [0.0] * depth + e.tolist()
-        for t in range(depth, depth + steps):
-            acc = w[t]
-            for k, m_k in ma:
-                acc -= m_k * w[t - k]
-            w[t] = acc
-        e[...] = w[depth:]
+        for j, column in enumerate(e.T.tolist()):
+            w = [0.0] * depth + column
+            for t in range(depth, depth + steps):
+                acc = w[t]
+                for k, m_k in ma:
+                    acc -= m_k * w[t - k]
+                w[t] = acc
+            e[:, j] = w[depth:]
 
     # a_{n+1|n}[i] = sum over j >= i of c[j] z[n-1-j+i] + R[j+1] v[n-1-j+i]
     # over the steady phase's last r steps, plus what is left of a_s when
     # the phase is shorter than r
     m_next = np.zeros(r)
     m_next[:-1] = R[1:]
-    a_next = (np.convolve(c, z[n - h :]) + np.convolve(m_next, v[n - h :]))[h - 1 : h - 1 + r]
+    a_next = np.empty((r, m))
+    for j in range(m):
+        a_next[:, j] = (np.convolve(c, zb[n - h :, j]) + np.convolve(m_next, v[n - h :, j]))[h - 1 : h - 1 + r]
     if h < r:
         a_next[: r - h] += a[h:]
-    return v, F, a_next, P
+    return v.reshape(z.shape), F, a_next.reshape(r, *z.shape[1:]), P
 
 
 def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray, skip: int = 0):
     """Profile log-likelihood with the innovation variance concentrated out:
-    the density of z[skip:] given z[:skip], which the filter still reads."""
+    the density of z[skip:] given z[:skip], which the filter still reads.
+
+    Returns (log L, sigma2, v, F, a, P) of ``kalman_filter``'s outputs.  For
+    an n x (1 + k) block, the first column is the series and the others are
+    regressors whose coefficients are profiled out by generalized least
+    squares: the least-squares fit of the series' innovations on theirs,
+    each month's scaled by 1 / sqrt(F_t), over the months from ``skip`` on.
+    v and a are then those of the series net of the regressors, and the k
+    coefficients come last.  A regressor block that is rank-deficient there
+    raises ``numerics.RankDeficiencyError``."""
     v, F, a, P = kalman_filter(z, T, R)
     n = z.shape[0] - skip
+    profiled = z.ndim == 2
+    if profiled:
+        scaled = v[skip:] / np.sqrt(F[skip:])[:, None]
+        if np.isfinite(scaled).all():
+            coef = least_squares(scaled[:, 1:], scaled[:, 0])
+        else:
+            coef = np.full(z.shape[1] - 1, math.nan)
+        weights = np.concatenate(([1.0], -coef))
+        v, a = v.dot(weights), a.dot(weights)
     q = v[skip:] * v[skip:]  # the sums are np.sum's, without its Python wrapper
     q /= F[skip:]
     sigma2 = np.add.reduce(q).item() / n
     if sigma2 <= 0 or not math.isfinite(sigma2):
-        return -math.inf, 0.0, v, F, a, P
-    ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * np.add.reduce(
-        np.log(F[skip:], out=q)
-    ).item()
-    return ll, sigma2, v, F, a, P
+        ll = -math.inf
+        sigma2 = 0.0
+    else:
+        ll = -0.5 * n * (math.log(2.0 * math.pi) + 1.0) - 0.5 * n * math.log(sigma2) - 0.5 * np.add.reduce(
+            np.log(F[skip:], out=q)
+        ).item()
+    return (ll, sigma2, v, F, a, P, coef) if profiled else (ll, sigma2, v, F, a, P)
 
 
 def difference(y: np.ndarray, d: int, D: int, s: int) -> np.ndarray:
@@ -424,16 +445,22 @@ def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
     """Map an unconstrained parameter vector to the model: (mean, exog
     coefficients, ar, ma, seasonal_ar, seasonal_ma, T, R).
 
+    The vector ends with the ARMA coefficients in the order p, q, P, Q.  The
+    mean, when the spec has one, and the exog coefficients may precede them,
+    as ``SarimaxFit.parameter_dict`` lists them; ``sarimax_fit`` profiles
+    those out, passes the ARMA coefficients alone, and reads a mean of 0 and
+    zero coefficients back.
+
     This is the one place that knows how the spec's lag polynomials form
     the state space; the forecast reads its reduced form back off T and R.
     """
     p, _, q = spec.order
     P, _, Q, s = spec.seasonal_order
-    k = 1 if spec.includes_mean else 0
-    mean = float(zvec[0]) if k else 0.0
     nx = len(spec.exog_names)
-    beta = np.asarray(zvec[k : k + nx], dtype=float)
-    x = zvec[k + nx :].tolist()
+    k = len(zvec) - p - q - P - Q  # the mean and exog entries, or none
+    mean = float(zvec[0]) if k and spec.includes_mean else 0.0
+    beta = np.asarray(zvec[k - nx : k], dtype=float) if k else np.zeros(nx)
+    x = zvec[k:].tolist()
     ar = _unconstrained_to_coeffs(x[:p])
     ma = -_unconstrained_to_coeffs(x[p : p + q])
     sar = _unconstrained_to_coeffs(x[p + q : p + q + P])
@@ -444,7 +471,9 @@ def model_from_parameters(zvec: np.ndarray, spec: SarimaxSpec):
 
 
 def bfgs(f, x0: np.ndarray, max_evaluations: int):
-    """Minimize f from x0 by BFGS; returns (x, converged).
+    """Minimize f from x0 by BFGS.  f(x) returns (value, info), where info is
+    anything the caller wants back from the evaluation at the point that
+    ``bfgs`` returns; returns (x, info at x, converged).
 
     The quasi-Newton iteration of Nocedal & Wright (2006), Alg. 6.1, from
     the inverse Hessian I.  The gradient is the forward difference with step
@@ -471,11 +500,11 @@ def bfgs(f, x0: np.ndarray, max_evaluations: int):
         for i, xi in enumerate(x.tolist()):
             xh = x.copy()
             xh[i] = xi + SQRT_EPS * max(1.0, abs(xi))
-            g[i] = (value(xh) - fx) / (xh[i] - xi)
+            g[i] = (value(xh)[0] - fx) / (xh[i] - xi)
         return g
 
     x = np.asarray(x0, dtype=float)
-    fx = value(x)
+    fx, info = value(x)
     g = gradient(x, fx)
     H = np.eye(x.size)
     f_prev = fx + math.sqrt(g @ g) / 2
@@ -486,9 +515,9 @@ def bfgs(f, x0: np.ndarray, max_evaluations: int):
         lo, f_lo, hi = 0.0, fx, math.inf
         for _ in range(40):
             if evaluations >= max_evaluations:
-                return x, False
+                return x, info, False
             x_new = x + alpha * p
-            f_new = value(x_new)
+            f_new, info_new = value(x_new)
             if f_new > fx + 1e-4 * alpha * slope or f_new >= f_lo:
                 hi = alpha
             else:
@@ -501,14 +530,14 @@ def bfgs(f, x0: np.ndarray, max_evaluations: int):
                 lo, f_lo = alpha, f_new
             alpha = 2.0 * alpha if hi == math.inf else 0.5 * (lo + hi)
         else:
-            return x, False
+            return x, info, False
         s, y = x_new - x, g_new - g
         sy = s @ y
         if sy > 0:  # the curvature condition makes it so, up to the gradients' error
             Hy = H @ y
             H += ((sy + y @ Hy) / sy * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / sy
-        x, f_prev, fx, g = x_new, fx, f_new, g_new
-    return x, True
+        x, f_prev, fx, g, info = x_new, fx, f_new, g_new, info_new
+    return x, info, True
 
 
 def _regressors(x, rows: int, k: int, name: str) -> np.ndarray:
@@ -530,44 +559,56 @@ def sarimax_fit(
     """Estimate a SARIMAX model on a plain series (exog as an n x k array
     aligned with y, column order following spec.exog_names).
 
+    ``bfgs`` searches the ARMA coefficients alone.  Each of its evaluations
+    filters the block [w, 1, X] once, the differenced series, a column of
+    ones when the spec has a mean and the differenced regressors, and
+    ``concentrated_loglik`` profiles the mean and the exog coefficients out
+    by GLS.  The fit's residuals, state and covariance are those of the
+    evaluation at the point ``bfgs`` returns.  Regressors that are
+    rank-deficient after differencing, beside the mean when there is one,
+    raise ``FitError``.
+
     The likelihood, sigma2, ``nobs`` and the information criteria count the
     months of y from ``score_from`` on, or from the first differenced month
     d + sD if that is later; the filter still starts at d + sD.  Fits that
     share ``score_from`` thus score the same months and can be ranked."""
     y = np.asarray(y, dtype=float)
-    _, d, _ = spec.order
-    _, D, _, s = spec.seasonal_order
+    p, d, q = spec.order
+    P, D, Q, s = spec.seasonal_order
     skip = max(score_from - d - s * D, 0)
     nx = len(spec.exog_names)
+    w = difference(y, d, D, s)
+    columns = [w[:, None]]
+    if spec.includes_mean:
+        columns.append(np.ones((w.shape[0], 1)))
     if nx:
         if exog is None:
             raise ValueError("spec names exogenous series but none were supplied")
         exog = _regressors(exog, len(y), nx, "exog")
-        wx = difference(exog, d, D, s)
+        columns.append(difference(exog, d, D, s))
+    block = np.hstack(columns)
 
-    w = difference(y, d, D, s)
     n = w.shape[0] - skip
-    x0 = np.zeros(spec.n_params - 1)
+    x0 = np.zeros(p + q + P + Q)
     *_, T0, _ = model_from_parameters(x0, spec)
     if n <= spec.n_params + 1 or w.shape[0] <= T0.shape[0]:
         raise FitError(f"series too short ({n} points) for spec {spec.key()}")
-    if spec.includes_mean:
-        x0[0] = float(w.mean())
 
-    def centred(mean, beta):
-        z = w - mean if spec.includes_mean else w  # w - 0.0 is w, -0.0 included
-        return z - wx @ beta if nx else z
+    def negloglik(x):
+        model = model_from_parameters(x, spec)
+        profile = concentrated_loglik(block, model[-2], model[-1], skip)
+        ll = profile[0]
+        return (-ll if math.isfinite(ll) else 1e12), (model, profile)
 
-    def negloglik(zvec):
-        mean, beta, *_, T, R = model_from_parameters(zvec, spec)
-        ll, *_rest = concentrated_loglik(centred(mean, beta), T, R, skip)
-        return -ll if math.isfinite(ll) else 1e12
-
-    zvec, converged = bfgs(negloglik, x0, max_evaluations)
-    mean, beta, ar, ma, sar, sma, T, R = model_from_parameters(zvec, spec)
-    ll, sigma2, v, F, a_next, P_next = concentrated_loglik(centred(mean, beta), T, R, skip)
-    if not np.isfinite(ll):
+    try:
+        _, ((*_, ar, ma, sar, sma, T, R), profile), converged = bfgs(negloglik, x0, max_evaluations)
+    except RankDeficiencyError as exc:
+        raise FitError(f"regressors are rank-deficient after differencing for spec {spec.key()}") from exc
+    ll, sigma2, v, F, a_next, P_next, coef = profile
+    if not math.isfinite(ll):
         raise FitError("likelihood is not finite at the optimum")
+    mean = coef.item(0) if spec.includes_mean else 0.0
+    beta = coef[1:] if spec.includes_mean else coef
 
     start = len(y) - d - s * D  # the last d + sD values of u = y - X beta
     tail = y[start:] - exog[start:] @ beta if nx else y[start:]

@@ -9,9 +9,10 @@ taken by ``np.sum``.  The cheaper calls of the package's version must give
 the same bits on every output, over every (T, R) of the default SARIMAX grid
 and over state sizes 2 to 14.  A state of size 1 is filtered in closed form
 and checked against that form in exact rational arithmetic on the float
-inputs instead.  Calls that reuse the filter's kept Riccati pass are checked
-against the same reference.  ``sarimax_fit`` is pinned end to end by the
-hashes of three fits.
+inputs instead.  A block of series filtered together gives each column the
+bits of that series filtered alone.  ``sarimax_fit`` is pinned end to end by
+the hashes of three fits, and its GLS profile of the mean and the exog
+coefficients is checked against least squares and the plain likelihood.
 """
 
 import hashlib
@@ -22,10 +23,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cinestat.numerics import least_squares
 from cinestat.statespace import (
     DIFFUSE_VARIANCE,
     GAIN_TOLERANCE,
     SEASONAL_PERIOD,
+    FitError,
     SarimaxSpec,
     _pacf_to_coeffs,
     build_state_space,
@@ -366,8 +369,9 @@ class TestKalmanFilterBits:
 
 
 class TestRiccatiMemo:
-    """The filter keeps its last Riccati pass, keyed on the series length and
-    the bits of T and R; every call must still give the reference's bits."""
+    """Calls in any order, with models changed in place and outputs written
+    into, must each give the reference's bits: no call leaves state behind
+    for the next."""
 
     @staticmethod
     def check(z, T, R):
@@ -401,30 +405,23 @@ class TestRiccatiMemo:
                 out[...] = 7.0
             self.check(z, T, R)
 
-    def test_a_fit_reuses_its_riccati_passes(self, monkeypatch):
-        # the forward-difference gradient moves the mean and each regressor
-        # coefficient with T and R fixed, so those evaluations reuse the
-        # pass before them: one pass per run of calls with the same model
-        from cinestat import statespace
 
-        keys, passes = [], []
-        filter_, covariance = statespace.kalman_filter, statespace.stationary_covariance
+class TestBlockFilter:
+    """An n x m block is filtered through one Riccati pass, and each of its
+    columns gets the bits of the same series filtered alone."""
 
-        def recorded_filter(z, T, R):
-            keys.append((z.shape[0], T.tobytes(), R.tobytes()))
-            return filter_(z, T, R)
-
-        def counted_covariance(T, R):
-            passes.append(None)
-            return covariance(T, R)
-
-        monkeypatch.setattr(statespace, "kalman_filter", recorded_filter)
-        monkeypatch.setattr(statespace, "stationary_covariance", counted_covariance)
-        monkeypatch.setattr(statespace, "_riccati_memo", None, raising=False)
-        y, X = regression_series(78, integrated=False)
-        sarimax_fit(y, SarimaxSpec((1, 0, 0), (1, 0, 0, SEASONAL_PERIOD), ("x1", "x2")), exog=X)
-        new_models = sum(key != before for key, before in zip(keys, [None] + keys))
-        assert len(passes) == new_models < len(keys)
+    @pytest.mark.parametrize("r", [1, 2, 13, 14])
+    def test_each_column_has_the_bits_of_a_series(self, r):
+        T, R = arma_of_size(r, seed=80 + r)
+        rng = np.random.default_rng(81 + r)
+        Z = np.column_stack([rng.normal(size=400), np.ones(400), 100.0 + rng.normal(scale=8.0, size=400)])
+        s = TestKalmanFilterBits.check(Z[:, 0].copy(), T, R)
+        # past the freeze, at it and before it
+        for n in {400, s, max(s - 1, 1)}:
+            v, F, a, P = kalman_filter(Z[:n], T, R)
+            assert v.shape == (n, 3) and a.shape == (r, 3)
+            for j in range(3):
+                assert_same_bits([v[:, j].copy(), F, a[:, j].copy(), P], kalman_filter(Z[:n, j].copy(), T, R))
 
 
 def grid_parameter_draws():
@@ -491,7 +488,7 @@ def sha256_of(x):
 # The log-likelihood and the hashes of residuals, _final_state and _final_cov
 # of three fits at the default evaluation cap: the benchmark's forecast_long
 # specs (0,1,0) and (1,1,0) and scale_run's (1,0,0) with a mean, each with
-# two regressors.  The last one stops on a failed line search, unconverged.
+# two regressors.
 FIT_PINS = [
     ((0, 1, 0), True, 61, "-0x1.84239ad723edep+8", (
         "1e771ec6df25d7e097303bd0fdb8789995be4891e38f260c03c6ee56847147c8",
@@ -519,3 +516,74 @@ def test_sarimax_fit_pins(order, integrated, seed, ll_hex, hashes):
     fit = sarimax_fit(y, SarimaxSpec(order, exog_names=("x1", "x2")), exog=X)
     assert fit.log_likelihood.hex() == ll_hex
     assert (sha256_of(fit.residuals), sha256_of(fit._final_state), sha256_of(fit._final_cov)) == hashes
+
+
+class TestProfiledFit:
+    """``sarimax_fit`` profiles the mean and the exog coefficients out by
+    GLS, and searches the ARMA coefficients alone."""
+
+    def test_no_filter_call_repeats(self, monkeypatch):
+        # the fit's residuals, state and covariance come from the evaluation
+        # at the point bfgs returns, not from a second pass over it
+        from cinestat import statespace
+
+        keys = []
+        filter_ = statespace.kalman_filter
+
+        def recorded_filter(z, T, R):
+            keys.append((z.tobytes(), T.tobytes(), R.tobytes()))
+            return filter_(z, T, R)
+
+        monkeypatch.setattr(statespace, "kalman_filter", recorded_filter)
+        y, X = regression_series(78, integrated=False)
+        sarimax_fit(y, SarimaxSpec((1, 0, 0), (1, 0, 0, SEASONAL_PERIOD), ("x1", "x2")), exog=X)
+        assert len(keys) > 1 and len(set(keys)) == len(keys)
+
+    def test_level_regressor_fit_converges(self):
+        # the mean and a regressor near 100 are no longer search coordinates,
+        # whose large curvature kept a forward-difference gradient from the
+        # gradient test: the joint search stopped unconverged at -348.28200237852714
+        y, X = regression_series(63, integrated=False)
+        fit = sarimax_fit(y, SarimaxSpec((1, 0, 0), exog_names=("x1", "x2")), exog=X)
+        assert fit.converged
+        assert fit.log_likelihood == pytest.approx(-348.28200237852714, abs=1e-9)
+
+    def test_no_arma_part_is_ordinary_least_squares(self):
+        y, X = regression_series(82, integrated=False)
+        fit = sarimax_fit(y, SarimaxSpec((0, 0, 0), exog_names=("x1", "x2")), exog=X)
+        ols = least_squares(np.column_stack([np.ones(len(y)), X]), y)
+        np.testing.assert_allclose(np.r_[fit.mean, fit.exog_coef], ols, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "order, seasonal_order, integrated, score_from",
+        [
+            ((1, 0, 0), (0, 0, 0, SEASONAL_PERIOD), False, 0),
+            ((1, 0, 1), (1, 0, 0, SEASONAL_PERIOD), False, 13),
+            ((0, 1, 1), (0, 0, 1, SEASONAL_PERIOD), True, 13),
+        ],
+    )
+    def test_profile_is_the_likelihood_at_the_fitted_coefficients(self, order, seasonal_order, integrated, score_from):
+        y, X = regression_series(83, integrated)
+        spec = SarimaxSpec(order, seasonal_order, ("x1", "x2"))
+        fit = sarimax_fit(y, spec, exog=X, score_from=score_from)
+        _, d, _ = order
+        _, D, _, s = seasonal_order
+        z = difference(y, d, D, s) - fit.mean - difference(X, d, D, s) @ fit.exog_coef
+        ll, sigma2, *_ = concentrated_loglik(z, fit._T, fit._R, max(score_from - d - s * D, 0))
+        assert fit.log_likelihood == pytest.approx(ll, rel=1e-10, abs=0)
+        assert fit.sigma2 == pytest.approx(sigma2, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "order, columns",
+        [
+            ((1, 0, 0), lambda X: np.column_stack([X, X[:, 0]])),  # a duplicated column
+            ((1, 0, 0), lambda X: np.column_stack([X, np.full(len(X), 5.0)])),  # a constant beside the mean
+            ((1, 1, 0), lambda X: np.column_stack([X, np.full(len(X), 5.0)])),  # differenced to zero
+        ],
+        ids=["duplicate", "constant_and_mean", "constant_differenced"],
+    )
+    def test_rank_deficient_regressors_raise(self, order, columns):
+        y, X = regression_series(84, integrated=order[1] > 0)
+        spec = SarimaxSpec(order, exog_names=("x1", "x2", "x3"))
+        with pytest.raises(FitError, match=r"rank-deficient.*\(1, %d, 0, 0, 0, 0\)" % order[1]):
+            sarimax_fit(y, spec, exog=columns(X))

@@ -373,12 +373,13 @@ class TestSarimaxFit:
 
 
 def counted(f):
-    """f plus a list holding the number of times it was called."""
+    """f as ``bfgs`` takes it, returning its value and a copy of the point,
+    plus a list holding the number of times it was called."""
     calls = [0]
 
     def wrapped(x):
         calls[0] += 1
-        return f(x)
+        return f(x), x.copy()
 
     return wrapped, calls
 
@@ -393,15 +394,17 @@ class TestBfgs:
         M = rng.normal(size=(5, 5))
         A = M @ M.T + 0.5 * np.eye(5)
         c = rng.normal(size=5)
-        x, converged = bfgs(lambda x: float((x - c) @ A @ (x - c)), np.zeros(5), MAX_EVALUATIONS)
-        assert converged
+        f, _ = counted(lambda x: float((x - c) @ A @ (x - c)))
+        x, at, converged = bfgs(f, np.zeros(5), MAX_EVALUATIONS)
+        assert converged and at.tobytes() == x.tobytes()
         np.testing.assert_allclose(x, c, atol=1e-4 / 0.5)
 
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0, -0.5, 0.3]])
     def test_rosenbrock(self, x0):
         f, calls = counted(rosenbrock)
-        x, converged = bfgs(f, np.array(x0), MAX_EVALUATIONS)
+        x, at, converged = bfgs(f, np.array(x0), MAX_EVALUATIONS)
         assert converged and calls[0] < 500
+        assert at.tobytes() == x.tobytes()  # the info of the evaluation at x
         np.testing.assert_allclose(x, 1.0, atol=1e-4)
 
     def test_evaluation_cap(self):
@@ -409,20 +412,22 @@ class TestBfgs:
         # k = 2 evaluations, may run past it
         for cap in (1, 2, 10, 50):
             f, calls = counted(rosenbrock)
-            x, converged = bfgs(f, np.array([-1.2, 1.0]), cap)
+            x, at, converged = bfgs(f, np.array([-1.2, 1.0]), cap)
             assert not converged and calls[0] <= cap + 2
+            assert at.tobytes() == x.tobytes()
 
     def test_kink_stops_on_a_failed_line_search(self):
         # |x| has no point where the gradient test holds; the line search
         # runs out of trials next to the kink, long before the cap
         f, calls = counted(lambda x: abs(x[0] - 0.3))
-        x, converged = bfgs(f, np.zeros(1), MAX_EVALUATIONS)
+        x, at, converged = bfgs(f, np.zeros(1), MAX_EVALUATIONS)
         assert not converged and calls[0] < 500
+        assert at.tobytes() == x.tobytes()
         assert x[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_no_parameters(self):
         f, calls = counted(lambda x: 1.0)
-        x, converged = bfgs(f, np.zeros(0), MAX_EVALUATIONS)
+        x, _, converged = bfgs(f, np.zeros(0), MAX_EVALUATIONS)
         assert converged and x.size == 0 and calls[0] == 1
 
 
