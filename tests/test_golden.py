@@ -82,7 +82,7 @@ def test_ingest_summary_stdout(monkeypatch):
 # configs/fixture.json` writes it in JSON and in markdown.  A change that
 # moves a report number on purpose records new hashes here, in a commit of
 # its own that names every field it moves.
-ORACLE_JSON_SHA256 = "ce65ca117b9fe5d0d17635c7461263dcfd5ca60b91338340db9b3d7aca2683b7"
+ORACLE_JSON_SHA256 = "4bac1a50b36530e19545579cb15a32655be7583c7cc4b8556fb35740b2a7314a"
 ORACLE_MARKDOWN_SHA256 = "4e5916243b2566a0bfd1127162861e6f08a0c844f3371668375caf778453b15d"
 
 

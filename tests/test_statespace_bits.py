@@ -490,19 +490,19 @@ def sha256_of(x):
 # specs (0,1,0) and (1,1,0) and scale_run's (1,0,0) with a mean, each with
 # two regressors.
 FIT_PINS = [
-    ((0, 1, 0), True, 61, "-0x1.84239ad723edep+8", (
-        "1e771ec6df25d7e097303bd0fdb8789995be4891e38f260c03c6ee56847147c8",
+    ((0, 1, 0), True, 61, "-0x1.84239ad723ed1p+8", (
+        "490b76d0baaedde9b81a9e42c0207a0a112a9e21ac70cc691e2098e2b51b5af3",
         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
     )),
-    ((1, 1, 0), True, 62, "-0x1.4a315c044cd76p+8", (
-        "ec8bd02d1934a075983680f96bb811864d1fed024d693635142808449672b8ee",
-        "76330f88a0fbbeca183d4f1e193e3ee926438da840b660a807a3a7c626887e91",
+    ((1, 1, 0), True, 62, "-0x1.4a315c044cd34p+8", (
+        "c073f41900bbe6ee000b27b30b01125a44fb485f98741536b79cfab41ea93e9d",
+        "e7408c99a4dd819c59d34bd4cf00722cbfd2005ed4c2f9bee4d3c03e1eaf8391",
         "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
     )),
-    ((1, 0, 0), False, 63, "-0x1.5c48314ed12b1p+8", (
-        "90cf89dc6386e2d914b1038f15a6e49b2bfa2f21ed1590e168463ea5d222098d",
-        "3213c6a7e3989c2d5f92a837f27cb011b0e0d0a6866652a5677252d8ae199cbf",
+    ((1, 0, 0), False, 63, "-0x1.5c48314ecf43bp+8", (
+        "c0bc608f087db28d219e116d41d859e0b55f480a9198671d9b9fdf6ab5374570",
+        "fbee6e8ec34cd23e1364aa6bb5d33041cf6e7a6de207f55880300b2bd36954c2",
         "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
     )),
 ]
