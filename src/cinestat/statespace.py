@@ -398,14 +398,13 @@ def concentrated_loglik(z: np.ndarray, T: np.ndarray, R: np.ndarray, skip: int =
     """Profile log-likelihood with the innovation variance concentrated out:
     the density of z[skip:] given z[:skip], which the filter still reads.
 
-    Returns (log L, sigma2, v, F, a, P) of ``kalman_filter``'s outputs.  For
-    an n x (1 + k) block, the first column is the series and the others are
-    regressors whose coefficients are profiled out by generalized least
-    squares: the least-squares fit of the series' innovations on theirs,
-    each month's scaled by 1 / sqrt(F_t), over the months from ``skip`` on.
-    v and a are then those of the series net of the regressors, and the k
-    coefficients come last.  A regressor block that is rank-deficient there
-    raises ``numerics.RankDeficiencyError``."""
+    Returns (log L, sigma2, v, F, a, P) with ``kalman_filter``'s outputs.
+    In an n x (1 + k) block, the first column is the series and the others
+    are regressors, whose coefficients are profiled out by GLS: the least
+    squares of the series' innovations on theirs, each month scaled by
+    1 / sqrt(F_t), from ``skip`` on.  v and a are then the series' net of
+    the regressors, and the k coefficients come last.  A rank-deficient
+    regressor block raises ``numerics.RankDeficiencyError``."""
     v, F, a, P = kalman_filter(z, T, R)
     n = z.shape[0] - skip
     profiled = z.ndim == 2
@@ -559,14 +558,11 @@ def sarimax_fit(
     """Estimate a SARIMAX model on a plain series (exog as an n x k array
     aligned with y, column order following spec.exog_names).
 
-    ``bfgs`` searches the ARMA coefficients alone.  Each of its evaluations
-    filters the block [w, 1, X] once, the differenced series, a column of
-    ones when the spec has a mean and the differenced regressors, and
-    ``concentrated_loglik`` profiles the mean and the exog coefficients out
-    by GLS.  The fit's residuals, state and covariance are those of the
-    evaluation at the point ``bfgs`` returns.  Regressors that are
-    rank-deficient after differencing, beside the mean when there is one,
-    raise ``FitError``.
+    ``bfgs`` searches the ARMA coefficients; each evaluation profiles the
+    mean and the exog coefficients out of the block [w, 1, X], and the fit
+    keeps the outputs of the evaluation at the point ``bfgs`` returns.
+    Regressors that are rank-deficient after differencing, beside the mean
+    when there is one, raise ``FitError``.
 
     The likelihood, sigma2, ``nobs`` and the information criteria count the
     months of y from ``score_from`` on, or from the first differenced month
